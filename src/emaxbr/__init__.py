@@ -43,12 +43,15 @@ from .estimators import (
     penalized_score,
     fit_mple,
     fit,
+    fit_all,
+    shared_work,
 )
 from .inference import (
     WaldInterval,
     BootstrapBand,
     InvalidLevel,
     TooManyFailures,
+    PointFitFailed,
     covariance,
     wald_ci,
     bootstrap_bands,

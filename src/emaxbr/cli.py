@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .diagnostics import classify_shape, detect_separation, InsufficientArms
-from .estimators import EstimatorKind, FitStatus, SolverConfig, fit
+from .estimators import EstimatorKind, FitStatus, SolverConfig, fit_all
 from .inference import TooManyFailures, bootstrap_bands, wald_ci
 from .model import ObservationSet
 from .simharness import Shape, audit_csv, emit_table, load_study, run_shape_conditioned_study, run_study
@@ -130,8 +130,8 @@ def cmd_fit(args) -> int:
         report["diagnostics"]["shape_note"] = str(exc)
 
     worst = EXIT_OK
-    for kind in _kinds(args.estimator):
-        res = fit(kind, data, config)
+    kinds = _kinds(args.estimator)
+    for kind, res in zip(kinds, fit_all(data, kinds, config)):
         block: dict = {
             "estimator": kind.value,
             "status": res.status.value,
@@ -161,7 +161,6 @@ def cmd_fit(args) -> int:
             if args.doses
             else [float(d) for d in data.doses]
         )
-        kinds = _kinds(args.estimator)
         bands_block = {"n_boot": args.boot, "seed": args.seed, "method": "percentile", "bands": {}}
         for kind in kinds:
             try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EmaxParams, ObservationSet, deriv_tensors
+from .model import DerivTensors, EmaxParams, ObservationSet, deriv_tensors
 
 __all__ = [
     "CumulantBundle",
@@ -66,19 +66,20 @@ def cumulant_bundle(params: EmaxParams, data: ObservationSet) -> CumulantBundle:
     The expectation over responses kills all terms involving the residual
     times the third-order eta tensor, so only ``g`` and ``h`` appear.
     """
-    tens = deriv_tensors(params, data)
+    return _bundle_from(deriv_tensors(params, data), data)
+
+
+def _bundle_from(tens: DerivTensors, data: ObservationSet) -> CumulantBundle:
+    """:func:`cumulant_bundle` from derivative tensors the caller already holds."""
     g, h = tens.g, tens.h
     w = data.n * tens.pi * (1.0 - tens.pi)
     w3 = w * (1.0 - 2.0 * tens.pi)
     ggg = np.einsum("i,ir,ij,il->rjl", w3, g, g, g)
     hg = np.einsum("i,irj,il->rjl", w, h, g)
-    k3 = (
-        -ggg
-        - np.einsum("i,irl,ij->rjl", w, h, g)
-        - np.einsum("i,ir,ijl->rjl", w, g, h)
-        - hg
-    )
-    dI = ggg + np.einsum("i,irl,ij->rjl", w, h, g) + np.einsum("i,ir,ijl->rjl", w, g, h)
+    hg_rl_j = np.einsum("i,irl,ij->rjl", w, h, g)
+    gh_r_jl = np.einsum("i,ir,ijl->rjl", w, g, h)
+    k3 = -ggg - hg_rl_j - gh_r_jl - hg
+    dI = ggg + hg_rl_j + gh_r_jl
     return CumulantBundle(k3=k3, k2_1=hg, p=ggg, dI=dI)
 
 

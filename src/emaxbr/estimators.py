@@ -10,25 +10,50 @@
 
 All four share deterministic starting values, iteration control via
 :class:`SolverConfig`, and a common convergence / instability taxonomy.
+
+Shared per-dataset work
+-----------------------
+The estimators overlap: Cox-Snell corrects the MLE, Firth's root search
+leads with the MPLE, and every solver starts from :func:`starting_values`.
+Fits made inside a :func:`shared_work` block, such as those of
+:func:`fit_all`, do each of those pieces once per dataset: the start point
+is computed once, Cox-Snell reuses the MLE fit, Firth leads with the MPLE
+fit, and Firth's start sequence reuses the start point.  The memo lives for
+one block only; a fitter called outside one gets a fresh memo, so
+``fit_all(data, kinds)`` returns exactly what separate ``fit`` calls
+return.  Each estimator still passes through one :func:`fit` call.
+
+The start grid is solved as one batch: the 21 log-ED50 grid points run
+their two-parameter logistic fits side by side, each row with its own step
+halving and stopping rules.  Each row goes through the same BLAS and LAPACK
+calls as the per-point loop that the batch replaced, so the start point is
+unchanged bit for bit and so are the study artifacts.  The estimating
+equations evaluate the derivative tensors once per call and derive the
+score, the information and the cumulants from them.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .cumulants import cumulant_bundle
+from .cumulants import _bundle_from
 from .model import (
+    DerivTensors,
     EmaxParams,
     ObservationSet,
+    _hessian_from,
+    _information_from,
+    _log_likelihood_from,
+    _score_from,
     deriv_tensors,
-    expected_information,
     hessian,
-    log_likelihood,
-    score,
 )
 
 __all__ = [
@@ -47,6 +72,8 @@ __all__ = [
     "penalized_score",
     "fit_mple",
     "fit",
+    "fit_all",
+    "shared_work",
     "SingularInformation",
 ]
 
@@ -243,8 +270,79 @@ def _neg_hessian_cov(theta: np.ndarray, data: ObservationSet) -> np.ndarray | No
 
 
 # ---------------------------------------------------------------------------
+# shared per-dataset work
+# ---------------------------------------------------------------------------
+
+class _DatasetWork:
+    """Memo of the work the estimators share on one dataset.
+
+    Holds the start point, the MLE fit and the MPLE fit, each computed on
+    first request.  Every fitter obtains one through :func:`_work`.
+    """
+
+    def __init__(self, data: ObservationSet, config: SolverConfig):
+        self.data = data
+        self.config = config
+        self._start: EmaxParams | None = None
+        self._mle: FitResult | None = None
+        self._mple: FitResult | None = None
+
+    def start(self) -> np.ndarray:
+        if self._start is None:
+            self._start = starting_values(self.data)
+        return self._start.as_array()
+
+    def mle(self) -> FitResult:
+        if self._mle is None:
+            self._mle = _solve_mle(self)
+        return self._mle
+
+    def mple(self) -> FitResult:
+        if self._mple is None:
+            self._mple = _solve_mple(self)
+        return self._mple
+
+
+# The memo of the enclosing shared_work block, if any; reset when the block ends.
+_ACTIVE_WORK: ContextVar[_DatasetWork | None] = ContextVar("_ACTIVE_WORK", default=None)
+
+
+def _work(data: ObservationSet, config: SolverConfig) -> _DatasetWork:
+    """The enclosing ``shared_work`` memo when it is for this dataset, else a fresh one."""
+    work = _ACTIVE_WORK.get()
+    if work is not None and work.data is data and work.config == config:
+        return work
+    return _DatasetWork(data, config)
+
+
+# ---------------------------------------------------------------------------
 # starting values
 # ---------------------------------------------------------------------------
+
+_GRID_POINTS = 21
+_GRID_MAX_ITER = 25
+_GRID_HALVINGS = 20
+_GRID_STEP_TOL = 1e-8
+
+
+def _loglik_rows(lin: np.ndarray, data: ObservationSet) -> np.ndarray:
+    """Log-likelihood of each row of linear predictors (one column per arm)."""
+    return np.sum(
+        data.events * log_expit(lin) + (data.n - data.events) * log_expit(-lin), axis=1
+    )
+
+
+def _solve_rows(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve each 2x2 system ``h[k] s = g[k]``; a singular system yields NaN."""
+    try:
+        return np.linalg.solve(h, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.full(g.shape, np.nan)
+        for k in range(len(h)):
+            with suppress(np.linalg.LinAlgError):
+                steps[k] = np.linalg.solve(h[k], g[k])
+        return steps
+
 
 def starting_values(data: ObservationSet) -> EmaxParams:
     """Deterministic starting triple from a profiled grid over log ED50.
@@ -256,51 +354,65 @@ def starting_values(data: ObservationSet) -> EmaxParams:
     ``(e0, emax)``, and the best profiled log-likelihood wins.  Intercept
     and slope are clipped to the divergence bound so degenerate grid points
     cannot poison downstream solvers.
+
+    The 21 solves run as one batch (see :func:`_grid_fits`).
     """
-    d = data.doses
-    d2 = data.dmin_positive()
-    dmax = data.dmax()
-    e0_0 = float(np.log((data.events[0] + 0.5) / (data.n[0] - data.events[0] + 0.5)))
-    best_ll, best = -np.inf, None
-    for phi in np.linspace(np.log(0.1 * d2), np.log(5.0 * dmax), 21):
-        u = d / (np.exp(phi) + d)
-        x = np.column_stack([np.ones_like(u), u])
-        ab = np.array([e0_0, 0.0])
+    phi, u, ab = _grid_fits(data)
+    # Scored as log_likelihood scores a parameter triple: e0 + emax * u.
+    best = int(np.argmax(_loglik_rows(ab[:, :1] + ab[:, 1:] * u, data)))
+    return EmaxParams(float(ab[best, 0]), float(ab[best, 1]), float(phi[best]))
 
-        def ll2(coefs: np.ndarray) -> float:
-            lin = x @ coefs
-            return float(
-                np.sum(data.events * log_expit(lin) + (data.n - data.events) * log_expit(-lin))
-            )
 
-        f2 = ll2(ab)
-        for _ in range(25):
-            lin = x @ ab
-            pi = expit(lin)
-            wt = data.n * pi * (1.0 - pi)
-            grad2 = x.T @ (data.events - data.n * pi)
-            hess2 = x.T @ (wt[:, None] * x)
-            try:
-                step = np.linalg.solve(hess2, grad2)
-            except np.linalg.LinAlgError:
+def _grid_fits(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start grid's ``phi``, covariate rows ``u`` and clipped ``(e0, emax)`` fits.
+
+    Each grid point takes Newton (IRLS) steps with step halving until its
+    2x2 system is singular, its line search fails, its step falls below
+    1e-8, or it has taken 25 steps.  The grid points form the rows of
+    stacked arrays, so each NumPy call serves every point still iterating.
+    Stacked ``@`` and ``np.linalg.solve`` make, per row, the BLAS and
+    LAPACK calls that a lone grid point's fit would make.
+    """
+    n, y = data.n, data.events
+    e0_0 = float(np.log((y[0] + 0.5) / (n[0] - y[0] + 0.5)))
+    phi = np.linspace(
+        np.log(0.1 * data.dmin_positive()), np.log(5.0 * data.dmax()), _GRID_POINTS
+    )
+    u = data.doses / (np.exp(phi)[:, None] + data.doses)
+    design = np.stack([np.ones_like(u), u], axis=-1)  # (grid point, arm, coefficient)
+    ab = np.tile([e0_0, 0.0], (_GRID_POINTS, 1))
+    f = _loglik_rows((design @ ab[:, :, None])[:, :, 0], data)
+    live = np.arange(_GRID_POINTS)
+    for _ in range(_GRID_MAX_ITER):
+        if live.size == 0:
+            break
+        x, abl = design[live], ab[live]
+        pi = expit((x @ abl[:, :, None])[:, :, 0])
+        wt = n * pi * (1.0 - pi)
+        xt = x.transpose(0, 2, 1)
+        step = _solve_rows(xt @ (wt[:, :, None] * x), (xt @ (y - n * pi)[:, :, None])[:, :, 0])
+        solvable = np.all(np.isfinite(step), axis=1)
+        lam = np.ones(live.size)
+        searching = solvable.copy()
+        for _ in range(_GRID_HALVINGS):
+            rows = np.flatnonzero(searching)
+            if rows.size == 0:
                 break
-            lam = 1.0
-            for _ in range(20):
-                cand = ab + lam * step
-                fc = ll2(cand)
-                if np.isfinite(fc) and fc >= f2:
-                    ab, f2 = cand, fc
-                    break
-                lam /= 2.0
-            else:
-                break
-            if np.max(np.abs(lam * step)) < 1e-8:
-                break
-        a, b = np.clip(ab, -_DIVERGENCE_BOUND, _DIVERGENCE_BOUND)
-        ll = log_likelihood(EmaxParams(a, b, phi), data)
-        if ll > best_ll:
-            best_ll, best = ll, (a, b, phi)
-    return EmaxParams(*best)
+            with np.errstate(invalid="ignore", over="ignore"):
+                cand = abl[rows] + lam[rows, None] * step[rows]
+                fc = _loglik_rows((x[rows] @ cand[:, :, None])[:, :, 0], data)
+            ok = np.isfinite(fc) & (fc >= f[live[rows]])
+            took = rows[ok]
+            abl[took] = cand[ok]
+            f[live[took]] = fc[ok]
+            searching[took] = False
+            lam[rows[~ok]] /= 2.0
+        ab[live] = abl
+        accepted = solvable & ~searching
+        with np.errstate(invalid="ignore"):
+            moving = np.max(np.abs(lam[:, None] * step), axis=1) >= _GRID_STEP_TOL
+        live = live[accepted & moving]
+    return phi, u, np.clip(ab, -_DIVERGENCE_BOUND, _DIVERGENCE_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +427,15 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
     (logit magnitudes at which arm probabilities are numerically 0/1) are
     declared failures, as is a singular final curvature.
     """
-    theta = starting_values(data).as_array()
-    f = log_likelihood(EmaxParams.from_array(theta), data)
-    g = score(EmaxParams.from_array(theta), data)
+    return _work(data, config).mle()
+
+
+def _solve_mle(work: _DatasetWork) -> FitResult:
+    data, config = work.data, work.config
+    theta = work.start()
+    tens = deriv_tensors(EmaxParams.from_array(theta), data)
+    f = _log_likelihood_from(tens, data)
+    g = _score_from(tens, data)
     it = 0
     while it < config.max_iter:
         it += 1
@@ -334,7 +452,7 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
                 status_reason=StatusReason.NON_FINITE,
                 iterations=it,
             )
-        h = hessian(EmaxParams.from_array(theta), data)
+        h = _hessian_from(tens, data)
         try:
             step = np.linalg.solve(h, -g)
             if step @ g <= 0.0:
@@ -344,7 +462,8 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
         lam, accepted = 1.0, False
         for _ in range(30):
             cand = theta + lam * step
-            fc = log_likelihood(EmaxParams.from_array(cand), data)
+            cand_tens = deriv_tensors(EmaxParams.from_array(cand), data)
+            fc = _log_likelihood_from(cand_tens, data)
             if np.isfinite(fc) and fc > f:
                 accepted = True
                 break
@@ -359,8 +478,8 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
                 iterations=it,
             )
         rel_change = np.max(np.abs(cand - theta) / np.maximum(1.0, np.abs(theta)))
-        theta, f = cand, fc
-        g = score(EmaxParams.from_array(theta), data)
+        theta, f, tens = cand, fc, cand_tens
+        g = _score_from(tens, data)
         if rel_change <= config.rel_change_tol:
             break
     else:
@@ -370,7 +489,7 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
             status_reason=StatusReason.NON_CONVERGENCE,
             iterations=config.max_iter,
         )
-    neg_h = -hessian(EmaxParams.from_array(theta), data)
+    neg_h = -_hessian_from(tens, data)
     if not np.all(np.isfinite(neg_h)) or np.linalg.cond(neg_h) > 1.0 / _SINGULAR_RCOND:
         return FitResult(
             kind=EstimatorKind.MLE,
@@ -386,6 +505,12 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
 # Cox-Snell correction
 # ---------------------------------------------------------------------------
 
+def _bias_from(tens: DerivTensors, data: ObservationSet, invert) -> np.ndarray:
+    inv = invert(_information_from(tens, data))
+    bundle = _bundle_from(tens, data)
+    return np.einsum("sr,jl,rjl->s", inv, inv, 0.5 * bundle.k3 + bundle.k2_1)
+
+
 def cox_snell_bias(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """First-order bias ``B_s = sum I^{-1}[s,r] I^{-1}[j,l] (k3/2 + k2_1)[r,j,l]``.
 
@@ -393,10 +518,7 @@ def cox_snell_bias(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     negative-information entries carry the cumulant signs already).  Scales
     as O(1/n) in the total sample size.
     """
-    info = expected_information(params, data)
-    inv = _solve_psd(info)
-    bundle = cumulant_bundle(params, data)
-    return np.einsum("sr,jl,rjl->s", inv, inv, 0.5 * bundle.k3 + bundle.k2_1)
+    return _bias_from(deriv_tensors(params, data), data, _solve_psd)
 
 
 def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
@@ -407,14 +529,11 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
     the likelihood, so the local Hessian there is not a valid curvature
     estimate (and is frequently indefinite when the correction is large).
     """
-    base = fit_mle(data, config)
+    base = _work(data, config).mle()
     if base.status is FitStatus.FailedToEstimate:
         return replace(base, kind=EstimatorKind.CoxSnell)
-    theta_hat = base.params.as_array()
-    info = expected_information(base.params, data)
-    bundle = cumulant_bundle(base.params, data)
     try:
-        inv = np.linalg.inv(info)
+        bias = _bias_from(deriv_tensors(base.params, data), data, np.linalg.inv)
     except np.linalg.LinAlgError:
         return FitResult(
             kind=EstimatorKind.CoxSnell,
@@ -422,8 +541,7 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
             status_reason=StatusReason.SINGULAR_INFORMATION,
             iterations=base.iterations,
         )
-    bias = np.einsum("sr,jl,rjl->s", inv, inv, 0.5 * bundle.k3 + bundle.k2_1)
-    corrected = theta_hat - bias
+    corrected = base.params.as_array() - bias
     if not np.all(np.isfinite(corrected)):
         return FitResult(
             kind=EstimatorKind.CoxSnell,
@@ -446,13 +564,15 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
 # Firth modified score
 # ---------------------------------------------------------------------------
 
+def _modified_score_from(tens: DerivTensors, data: ObservationSet, invert) -> np.ndarray:
+    inv = invert(_information_from(tens, data))
+    bundle = _bundle_from(tens, data)
+    return _score_from(tens, data) + 0.5 * np.einsum("rj,rjl->l", inv, bundle.p + bundle.k2_1)
+
+
 def firth_modified_score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """Modified score ``U_s + 0.5 * tr(I^{-1} (P_s + kappa_{..,s}))``."""
-    info = expected_information(params, data)
-    inv = _solve_psd(info)
-    bundle = cumulant_bundle(params, data)
-    adj = 0.5 * np.einsum("rj,rjl->l", inv, bundle.p + bundle.k2_1)
-    return score(params, data) + adj
+    return _modified_score_from(deriv_tensors(params, data), data, _solve_psd)
 
 
 def _firth_score_guarded(theta: np.ndarray, data: ObservationSet) -> np.ndarray:
@@ -466,14 +586,9 @@ def _firth_score_guarded(theta: np.ndarray, data: ObservationSet) -> np.ndarray:
     """
     if not np.all(np.isfinite(theta)):
         return np.full(3, np.nan)
-    params = EmaxParams.from_array(theta)
     try:
-        info = expected_information(params, data)
-        inv = np.linalg.pinv(info)
-        bundle = cumulant_bundle(params, data)
-        return score(params, data) + 0.5 * np.einsum(
-            "rj,rjl->l", inv, bundle.p + bundle.k2_1
-        )
+        tens = deriv_tensors(EmaxParams.from_array(theta), data)
+        return _modified_score_from(tens, data, np.linalg.pinv)
     except np.linalg.LinAlgError:
         return np.full(3, np.nan)
 
@@ -536,7 +651,9 @@ def _adjusted_logit(k: float, n: float) -> float:
     return float(np.log((k + 0.5) / (n - k + 0.5)))
 
 
-def _firth_starts(data: ObservationSet, mple_start: np.ndarray) -> list[np.ndarray]:
+def _firth_starts(
+    data: ObservationSet, mple_start: np.ndarray, grid_start: np.ndarray
+) -> list[np.ndarray]:
     """Start sequence for the modified-score solve.
 
     The penalized-likelihood maximizer leads (it is typically within a few
@@ -554,7 +671,7 @@ def _firth_starts(data: ObservationSet, mple_start: np.ndarray) -> list[np.ndarr
     e_trt = _adjusted_logit(data.events[pos].sum(), data.n[pos].sum())
     starts = [
         mple_start,
-        starting_values(data).as_array(),
+        grid_start,
         np.array([e0_pool, 0.0, np.log(dmax) + 20.0]),
         np.array([e0_ctl, e_trt - e0_ctl, np.log(d2) - 20.0]),
     ]
@@ -574,15 +691,13 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
     ED50) are genuine solutions of the estimating equations and surface as
     ``Unstable`` bound hits rather than failures.
     """
-    mple = fit_mple(data, config)
-    if mple.params is not None:
-        lead = mple.params.as_array()
-    else:
-        lead = starting_values(data).as_array()
+    work = _work(data, config)
+    mple = work.mple()
+    lead = mple.params.as_array() if mple.params is not None else work.start()
     func = lambda t: _firth_score_guarded(t, data)
     total_it = 0
     theta = lead
-    for theta0 in _firth_starts(data, lead):
+    for theta0 in _firth_starts(data, lead, work.start()):
         budget = max(50, config.max_iter - total_it)
         theta, it, ok = _lm_root(func, theta0, budget, config.grad_tol)
         total_it += it
@@ -603,6 +718,13 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
 # Jeffreys-prior MPLE
 # ---------------------------------------------------------------------------
 
+def _penalized_loglik_from(tens: DerivTensors, data: ObservationSet) -> float:
+    sign, logdet = np.linalg.slogdet(_information_from(tens, data))
+    if sign <= 0:
+        return -np.inf
+    return _log_likelihood_from(tens, data) + 0.5 * logdet
+
+
 def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
     """Log-likelihood plus half the log-determinant of the information.
 
@@ -610,11 +732,13 @@ def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
     not positive (e.g. rank-deficient designs), which the ascent treats as
     out of bounds.
     """
-    info = expected_information(params, data)
-    sign, logdet = np.linalg.slogdet(info)
-    if sign <= 0:
-        return -np.inf
-    return log_likelihood(params, data) + 0.5 * logdet
+    return _penalized_loglik_from(deriv_tensors(params, data), data)
+
+
+def _penalized_score_from(tens: DerivTensors, data: ObservationSet, invert) -> np.ndarray:
+    inv = invert(_information_from(tens, data))
+    bundle = _bundle_from(tens, data)
+    return _score_from(tens, data) + 0.5 * np.einsum("rj,rjl->l", inv, bundle.dI)
 
 
 def penalized_score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -624,18 +748,12 @@ def penalized_score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     root in the penalty and is enforced by the finite-difference oracle in
     the test suite.
     """
-    info = expected_information(params, data)
-    inv = _solve_psd(info)
-    bundle = cumulant_bundle(params, data)
-    return score(params, data) + 0.5 * np.einsum("rj,rjl->l", inv, bundle.dI)
+    return _penalized_score_from(deriv_tensors(params, data), data, _solve_psd)
 
 
 def _penalized_score_guarded(theta: np.ndarray, data: ObservationSet) -> np.ndarray:
-    params = EmaxParams.from_array(theta)
-    info = expected_information(params, data)
-    inv = np.linalg.pinv(info)
-    bundle = cumulant_bundle(params, data)
-    return score(params, data) + 0.5 * np.einsum("rj,rjl->l", inv, bundle.dI)
+    tens = deriv_tensors(EmaxParams.from_array(theta), data)
+    return _penalized_score_from(tens, data, np.linalg.pinv)
 
 
 def _penalized_curvature(theta: np.ndarray, data: ObservationSet) -> np.ndarray:
@@ -662,9 +780,15 @@ def fit_mple(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fit
     Covariance is the inverse of the negative penalized-score Jacobian at
     the maximizer.
     """
-    theta = starting_values(data).as_array()
-    f = penalized_loglik(EmaxParams.from_array(theta), data)
-    g = _penalized_score_guarded(theta, data)
+    return _work(data, config).mple()
+
+
+def _solve_mple(work: _DatasetWork) -> FitResult:
+    data, config = work.data, work.config
+    theta = work.start()
+    tens = deriv_tensors(EmaxParams.from_array(theta), data)
+    f = _penalized_loglik_from(tens, data)
+    g = _penalized_score_from(tens, data, np.linalg.pinv)
     it = 0
     while it < config.max_iter:
         it += 1
@@ -681,7 +805,8 @@ def fit_mple(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fit
         lam, accepted = 1.0, False
         for _ in range(40):
             cand = theta + lam * step
-            fc = penalized_loglik(EmaxParams.from_array(cand), data)
+            cand_tens = deriv_tensors(EmaxParams.from_array(cand), data)
+            fc = _penalized_loglik_from(cand_tens, data)
             if np.isfinite(fc) and fc > f + 1e-4 * lam * float(step @ g):
                 accepted = True
                 break
@@ -695,8 +820,8 @@ def fit_mple(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fit
                 status_reason=StatusReason.NON_CONVERGENCE,
                 iterations=it,
             )
-        theta, f = cand, fc
-        g = _penalized_score_guarded(theta, data)
+        theta, f, tens = cand, fc, cand_tens
+        g = _penalized_score_from(tens, data, np.linalg.pinv)
     else:
         return FitResult(
             kind=EstimatorKind.MPLE,
@@ -727,3 +852,34 @@ def fit(
 ) -> FitResult:
     """Dispatch to the fitter for ``kind``."""
     return _FITTERS[kind](data, config)
+
+
+@contextmanager
+def shared_work(data: ObservationSet, config: SolverConfig = SolverConfig()):
+    """Let the fits of ``data`` made inside the block share their common work.
+
+    Inside the block, fits of this very ``data`` object under an equal
+    ``config`` compute the start point, the MLE and the MPLE at most once
+    (see the module docstring).  Their results are identical to fits made
+    outside the block.  The memo is dropped when the block ends.
+    """
+    token = _ACTIVE_WORK.set(_DatasetWork(data, config))
+    try:
+        yield
+    finally:
+        _ACTIVE_WORK.reset(token)
+
+
+def fit_all(
+    data: ObservationSet,
+    kinds: Iterable[EstimatorKind],
+    config: SolverConfig = SolverConfig(),
+) -> list[FitResult]:
+    """Fit each estimator in ``kinds`` to one dataset, sharing the common work.
+
+    Returns one result per entry of ``kinds``, in order, each equal to what
+    ``fit(kind, data, config)`` returns.  Every entry goes through one
+    :func:`fit` call inside :func:`shared_work`.
+    """
+    with shared_work(data, config):
+        return [fit(kind, data, config) for kind in kinds]

@@ -10,18 +10,18 @@ bands are deterministic regardless of execution order.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
+from ._pool import pool_map
 from .estimators import (
     EstimatorKind,
     FitStatus,
     SingularInformation,
     SolverConfig,
+    StatusReason,
     fit,
 )
 from .model import EmaxParams, ObservationSet, hessian, predict_prob
@@ -32,6 +32,7 @@ __all__ = [
     "BootstrapBand",
     "InvalidLevel",
     "TooManyFailures",
+    "PointFitFailed",
     "covariance",
     "wald_ci",
     "bootstrap_bands",
@@ -51,6 +52,21 @@ class TooManyFailures(RuntimeError):
         super().__init__(
             f"{n_failed} of {n_boot} bootstrap refits failed to estimate; "
             "bands withheld"
+        )
+
+
+class PointFitFailed(TooManyFailures):
+    """Raised when the point fit on the original data fails; no refit runs."""
+
+    def __init__(self, kind: EstimatorKind, reason: StatusReason, n_boot: int):
+        self.kind = kind
+        self.reason = reason
+        self.n_failed = 0
+        self.n_boot = n_boot
+        RuntimeError.__init__(
+            self,
+            f"point fit of the {kind.value} estimator failed to estimate "
+            f"({reason.value}); no bootstrap refits were run, bands withheld",
         )
 
 
@@ -160,10 +176,11 @@ def bootstrap_bands(
     """Percentile bootstrap bands of the fitted probability at each dose.
 
     Failed refits are dropped and counted; if more than half fail the bands
-    are withheld via :class:`TooManyFailures`.  Replicate ``r`` draws from
-    the stream keyed by ``(seed, r)``; results are collected into a fixed
-    order before the percentiles, so any execution schedule yields
-    identical bands.
+    are withheld via :class:`TooManyFailures`.  A failed point fit raises
+    its subclass :class:`PointFitFailed` before any refit runs.  Replicate
+    ``r`` draws from the stream keyed by ``(seed, r)``; results are
+    collected into a fixed order before the percentiles, so any execution
+    schedule yields identical bands.
     """
     if n_boot < 100 and n_boot != 1:
         raise ValueError("n_boot must be at least 100 (or exactly 1 for smoke use)")
@@ -172,16 +189,11 @@ def bootstrap_bands(
     doses = np.asarray(list(doses), dtype=float)
     point_fit = fit(kind, data, config)
     if point_fit.params is None:
-        raise TooManyFailures(n_boot, n_boot)
+        raise PointFitFailed(kind, point_fit.status_reason, n_boot)
     point = np.asarray(predict_prob(point_fit.params, doses))
 
     jobs = [(data, kind, doses, seed, r, config) for r in range(n_boot)]
-    n_workers = int(os.environ.get("EMAXBR_THREADS", "1"))
-    if n_workers > 1 and n_boot >= 200:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_boot_one, jobs, chunksize=64))
-    else:
-        results = [_boot_one(j) for j in jobs]
+    results = pool_map(_boot_one, jobs, chunksize=64, min_jobs=200)
 
     kept = [r for r in results if r is not None]
     n_failed = n_boot - len(kept)

@@ -234,19 +234,12 @@ def deriv_tensors(params: EmaxParams, data: ObservationSet) -> DerivTensors:
 
 def log_likelihood(params: EmaxParams, data: ObservationSet) -> float:
     """Bernoulli log-likelihood, evaluated stably via ``log_expit``."""
-    tens = deriv_tensors(params, data)
-    return float(
-        np.sum(
-            data.events * log_expit(tens.eta)
-            + (data.n - data.events) * log_expit(-tens.eta)
-        )
-    )
+    return _log_likelihood_from(deriv_tensors(params, data), data)
 
 
 def score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """Score vector ``U_s = sum_i (y_i - pi_i) g_{i,s}``."""
-    tens = deriv_tensors(params, data)
-    return (data.events - data.n * tens.pi) @ tens.g
+    return _score_from(deriv_tensors(params, data), data)
 
 
 def hessian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -255,12 +248,7 @@ def hessian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     ``H_{rj} = sum_i [-pi(1-pi) g_r g_j + (y - pi) h_{rj}]`` aggregated over
     arms with binomial weights.
     """
-    tens = deriv_tensors(params, data)
-    w = data.n * tens.pi * (1.0 - tens.pi)
-    resid = data.events - data.n * tens.pi
-    return -np.einsum("i,ir,ij->rj", w, tens.g, tens.g) + np.einsum(
-        "i,irj->rj", resid, tens.h
-    )
+    return _hessian_from(deriv_tensors(params, data), data)
 
 
 def expected_information(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -268,6 +256,33 @@ def expected_information(params: EmaxParams, data: ObservationSet) -> np.ndarray
 
     Positive semidefinite and independent of the observed events.
     """
-    tens = deriv_tensors(params, data)
+    return _information_from(deriv_tensors(params, data), data)
+
+
+# The from-tensors forms below let a caller that needs several of these
+# quantities at one point evaluate ``deriv_tensors`` once.
+
+def _log_likelihood_from(tens: DerivTensors, data: ObservationSet) -> float:
+    return float(
+        np.sum(
+            data.events * log_expit(tens.eta)
+            + (data.n - data.events) * log_expit(-tens.eta)
+        )
+    )
+
+
+def _score_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+    return (data.events - data.n * tens.pi) @ tens.g
+
+
+def _hessian_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+    w = data.n * tens.pi * (1.0 - tens.pi)
+    resid = data.events - data.n * tens.pi
+    return -np.einsum("i,ir,ij->rj", w, tens.g, tens.g) + np.einsum(
+        "i,irj->rj", resid, tens.h
+    )
+
+
+def _information_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
     w = data.n * tens.pi * (1.0 - tens.pi)
     return np.einsum("i,ir,ij->rj", w, tens.g, tens.g)

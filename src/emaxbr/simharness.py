@@ -17,21 +17,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
+from ._pool import pool_map
 from .diagnostics import Shape, classify_shape
 from .estimators import (
     EstimatorKind,
-    FitResult,
     FitStatus,
     SolverConfig,
     StatusReason,
     fit,
+    shared_work,
 )
 from .model import EmaxParams, ObservationSet, predict_prob
 
@@ -165,16 +164,16 @@ def generate_dataset(study: SimStudy, rep_index: int) -> ObservationSet:
     return ObservationSet(doses, study.arm_sizes().astype(float), events)
 
 
-def _fit_rep(args) -> tuple[int, list[AuditRow]]:
+def _fit_rep(args) -> list[AuditRow]:
     study, rep = args
-    data = generate_dataset(study, rep)
-    return rep, _fit_dataset(study, rep, data)
+    return _fit_dataset(study, rep, generate_dataset(study, rep))
 
 
 def _fit_dataset(study: SimStudy, rep: int, data: ObservationSet) -> list[AuditRow]:
     rows = []
-    for kind in study.estimators:
-        res = fit(kind, data, study.solver)
+    with shared_work(data, study.solver):
+        results = [fit(kind, data, study.solver) for kind in study.estimators]
+    for kind, res in zip(study.estimators, results):
         est = res.params.as_array() if res.params is not None else (None,) * 3
         se = res.std_errors if res.std_errors is not None else (None,) * 3
         rows.append(
@@ -250,13 +249,6 @@ def _aggregate(
     )
 
 
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EMAXBR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_study(study: SimStudy) -> SimMetrics:
     """Fit every estimator on every replicate and aggregate.
 
@@ -264,15 +256,8 @@ def run_study(study: SimStudy) -> SimMetrics:
     reassembled in replicate order before aggregation, so the output is
     byte-identical for any worker count.
     """
-    jobs = [(study, r) for r in range(study.n_reps)]
-    workers = _n_workers()
-    if workers > 1 and study.n_reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_rep, jobs, chunksize=8))
-    else:
-        results = [_fit_rep(j) for j in jobs]
-    results.sort(key=lambda t: t[0])
-    audit = [row for _, rows in results for row in rows]
+    results = pool_map(_fit_rep, [(study, r) for r in range(study.n_reps)], chunksize=8)
+    audit = [row for rows in results for row in rows]
     return _aggregate(study, audit)
 
 
@@ -303,12 +288,7 @@ def run_shape_conditioned_study(
     rate = len(kept) / r
 
     jobs = [(study, rep, data) for rep, data in kept]
-    workers = _n_workers()
-    if workers > 1 and n_keep > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_kept, jobs, chunksize=8))
-    else:
-        results = [_fit_kept(j) for j in jobs]
+    results = pool_map(_fit_kept, jobs, chunksize=8)
     audit = [row for rows in results for row in rows]
     return _aggregate(study, audit, acceptance_rate=rate, n_reps=n_keep)
 

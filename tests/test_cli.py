@@ -91,6 +91,15 @@ class TestFitCommand:
         assert by_est["firth"]["status"] == "Converged"
         assert by_est["mple"]["status"] == "Converged"
 
+    def test_all_report_matches_single_estimator_runs(self, turandot_path, capsys):
+        _, out = _run(["fit", "--data", turandot_path, "--estimator", "all"], capsys)
+        together = json.loads(out)["fits"]
+        alone = []
+        for name in ("mle", "coxsnell", "firth", "mple"):
+            _, out = _run(["fit", "--data", turandot_path, "--estimator", name], capsys)
+            alone.extend(json.loads(out)["fits"])
+        assert together == alone
+
     def test_single_estimator_exit_reflects_it_alone(self, turandot_path, capsys):
         code, _ = _run(["fit", "--data", turandot_path, "--estimator", "mple"], capsys)
         assert code == 0

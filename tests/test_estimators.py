@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from emaxbr import (
     EmaxParams,
@@ -13,6 +14,7 @@ from emaxbr import (
     cox_snell_bias,
     firth_modified_score,
     fit,
+    fit_all,
     fit_cox_snell,
     fit_firth,
     fit_mle,
@@ -25,7 +27,9 @@ from emaxbr import (
     starting_values,
 )
 
+from emaxbr import estimators
 from conftest import random_dataset, random_params
+from test_start_grid import datasets
 
 
 def _simulate(truth: EmaxParams, doses, n_per_arm: int, seed: int) -> ObservationSet:
@@ -335,3 +339,80 @@ class TestClassification:
             np.testing.assert_array_equal(
                 fit(kind, d).params.as_array(), fn(d).params.as_array()
             )
+
+
+def _assert_same_fit(a, b) -> None:
+    assert (a.kind, a.status, a.status_reason, a.iterations) == (
+        b.kind,
+        b.status,
+        b.status_reason,
+        b.iterations,
+    )
+    assert a.params == b.params
+    assert a.base_mle == b.base_mle
+    for x, y in ((a.covariance, b.covariance), (a.std_errors, b.std_errors)):
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_array_equal(x, y)
+
+
+SEPARATED = ObservationSet(
+    np.array([0.0, 1.0, 2.0, 4.0, 8.0]), np.full(5, 4.0), np.array([0.0, 0.0, 4.0, 4.0, 4.0])
+)
+ALL_ZERO = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.zeros(3))
+ALL_N = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.full(3, 10.0))
+
+
+class TestFitAll:
+    @given(datasets())
+    @example(SEPARATED)
+    @example(ALL_ZERO)
+    @example(ALL_N)
+    @settings(max_examples=30, deadline=None)
+    def test_each_result_equals_a_standalone_fit(self, data):
+        # A short iteration cap keeps Firth's multi-start search brief on the
+        # degenerate arms; the results must agree under any configuration.
+        config = SolverConfig(max_iter=100)
+        kinds = list(EstimatorKind)
+        for kind, shared in zip(kinds, fit_all(data, kinds, config)):
+            _assert_same_fit(shared, fit(kind, data, config))
+
+    def test_failure_paths_are_covered(self):
+        # MLE and Cox-Snell fail on separated data while the MPLE (Firth's
+        # lead start) still converges; the shared results must carry that.
+        mle, cs, _, mple = fit_all(SEPARATED, list(EstimatorKind))
+        assert mle.status is FitStatus.FailedToEstimate
+        assert cs.status is FitStatus.FailedToEstimate
+        assert mple.params is not None
+
+    def test_order_and_duplicates_follow_kinds(self):
+        d = _simulate(TRUTH, DOSES5, 200, seed=5)
+        kinds = [EstimatorKind.MPLE, EstimatorKind.Firth, EstimatorKind.MPLE]
+        results = fit_all(d, kinds)
+        assert [r.kind for r in results] == kinds
+        _assert_same_fit(results[0], results[2])
+
+    def test_shared_work_runs_once(self, monkeypatch):
+        calls = {"start": 0, "mle": 0, "mple": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(estimators, "starting_values", counting("start", starting_values))
+        monkeypatch.setattr(estimators, "_solve_mle", counting("mle", estimators._solve_mle))
+        monkeypatch.setattr(estimators, "_solve_mple", counting("mple", estimators._solve_mple))
+        d = _simulate(TRUTH, DOSES5, 50, seed=5)
+        fit_all(d, list(EstimatorKind))
+        assert calls == {"start": 1, "mle": 1, "mple": 1}
+
+    def test_memo_ends_with_the_call(self):
+        d = _simulate(TRUTH, DOSES5, 50, seed=5)
+        fit_all(d, [EstimatorKind.MLE])
+        assert estimators._ACTIVE_WORK.get() is None
+        with pytest.raises(KeyError):
+            fit_all(d, [EstimatorKind.MLE, "not-a-kind"])
+        assert estimators._ACTIVE_WORK.get() is None

@@ -8,6 +8,7 @@ from emaxbr import (
     EstimatorKind,
     InvalidLevel,
     ObservationSet,
+    PointFitFailed,
     TooManyFailures,
     bootstrap_bands,
     covariance,
@@ -157,6 +158,22 @@ class TestBootstrapBands:
         # point fit (and essentially every refit) fails.
         with pytest.raises(TooManyFailures):
             bootstrap_bands(SEPARATED, EstimatorKind.MLE, (0.0, 4.0), n_boot=100)
+
+    def test_failed_point_fit_is_named_in_the_error(self):
+        with pytest.raises(PointFitFailed) as info:
+            bootstrap_bands(SEPARATED, EstimatorKind.MLE, (0.0, 4.0), n_boot=100)
+        assert isinstance(info.value, TooManyFailures)
+        assert info.value.n_failed == 0
+        assert info.value.n_boot == 100
+        message = str(info.value)
+        assert message.startswith("point fit of the mle estimator failed to estimate (")
+        assert "no bootstrap refits were run" in message
+        assert "100 of 100" not in message
+
+    def test_malformed_thread_count_runs_serially(self, data, monkeypatch):
+        serial = bootstrap_bands(data, EstimatorKind.MPLE, DOSES5, n_boot=200, seed=3)
+        monkeypatch.setenv("EMAXBR_THREADS", "abc")
+        assert bootstrap_bands(data, EstimatorKind.MPLE, DOSES5, n_boot=200, seed=3) == serial
 
     def test_mple_succeeds_on_separated_data(self):
         bands = bootstrap_bands(SEPARATED, EstimatorKind.MPLE, (0.0, 4.0), n_boot=100)
