@@ -1,0 +1,159 @@
+"""Per-fit benchmark of the emaxbr solvers; writes ``BENCH_fit.json``.
+
+Measures, against the emaxbr sources under ``--src``:
+
+* the cost per solver iterate of the MPLE curvature and of the Firth
+  Jacobian, in microseconds per call, at the MPLE fit of the bundled
+  golden dataset.  Sources with exact Jacobians time them from the
+  iterate's held point; older sources time their finite-difference forms
+  (``_penalized_curvature`` and ``_fd_jacobian``);
+* milliseconds per fit of each estimator, each fit standalone (outside
+  ``shared_work``), on the golden dataset and on replicate 0 of the
+  far-ED50 study (truth ``(-2.197, 2.197, log 250)``, n = 200, seed 3);
+* replicates per second of one 100-replicate study cell at the main truth
+  with all four estimators and one worker.
+
+Every figure is the median over ``--repeats`` runs.  Results go into the
+``--out`` JSON under ``--label``; other labels already in the file are
+kept, so one file holds a before and an after.  Run both from the same
+machine, one after the other::
+
+    python scripts/bench_fit.py --src /path/to/parent/src --label parent
+    python scripts/bench_fit.py --src src --label change
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, as in the study workers, before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+DOSES = (0.0, 7.5, 22.5, 75.0, 225.0)
+MAIN_TRUTH = (-2.197, 3.583, float(np.log(7.5)))
+FAR_TRUTH = (-2.197, 2.197, float(np.log(250.0)))
+
+
+def _per_call(fn, min_seconds: float) -> float:
+    """Seconds per call of ``fn``, over at least ``min_seconds`` of calls."""
+    calls, t0 = 0, time.perf_counter()
+    while True:
+        fn()
+        calls += 1
+        elapsed = time.perf_counter() - t0
+        if elapsed >= min_seconds:
+            return elapsed / calls
+
+
+def _jacobian_calls(emaxbr, data):
+    """Per-iterate Jacobian calls of both solvers at the golden MPLE point."""
+    est = emaxbr.estimators
+    theta = emaxbr.fit_mple(data).params.as_array()
+    if hasattr(est, "_penalized_jacobian_at"):
+        tens = emaxbr.deriv_tensors(emaxbr.EmaxParams.from_array(theta), data)
+        pt = est._point(tens, data, np.linalg.pinv)
+        return "exact", {
+            "penalized": lambda: est._penalized_jacobian_at(pt, data),
+            "firth": lambda: est._modified_jacobian_at(pt, data),
+        }
+    func = lambda t: est._firth_score_guarded(t, data)  # noqa: E731
+    return "finite-difference", {
+        "penalized": lambda: est._penalized_curvature(theta, data),
+        "firth": lambda: est._fd_jacobian(func, theta),
+    }
+
+
+def measure(emaxbr, repeats: int) -> dict:
+    golden = emaxbr.ObservationSet(
+        np.array(DOSES),
+        np.array([67.0, 63.0, 71.0, 68.0, 64.0]),
+        np.array([2.0, 8.0, 12.0, 11.0, 4.0]),
+    )
+    kinds = list(emaxbr.EstimatorKind)
+    far_study = emaxbr.SimStudy(
+        doses=DOSES,
+        n_total=200,
+        truth=emaxbr.EmaxParams(*FAR_TRUTH),
+        n_reps=1,
+        estimators=tuple(kinds),
+        seed=3,
+    )
+    far = emaxbr.generate_dataset(far_study, 0)
+    cell = emaxbr.SimStudy(
+        doses=DOSES,
+        n_total=200,
+        truth=emaxbr.EmaxParams(*MAIN_TRUTH),
+        n_reps=100,
+        estimators=tuple(kinds),
+        seed=4_100_000,
+    )
+
+    form, jac_calls = _jacobian_calls(emaxbr, golden)
+    jac = {name: [] for name in jac_calls}
+    fits = {(ds, k.value): [] for ds in ("golden", "far_ed50") for k in kinds}
+    rates = []
+    emaxbr.run_study(cell)  # warm-up: imports, allocator and caches
+    for _ in range(repeats):
+        for name, fn in jac_calls.items():
+            jac[name].append(1e6 * _per_call(fn, 0.2))
+        for ds, data in (("golden", golden), ("far_ed50", far)):
+            for kind in kinds:
+                per = _per_call(lambda: emaxbr.fit(kind, data), 0.3)
+                fits[(ds, kind.value)].append(1e3 * per)
+        t0 = time.perf_counter()
+        emaxbr.run_study(cell)
+        rates.append(cell.n_reps / (time.perf_counter() - t0))
+
+    return {
+        "jacobian_form": form,
+        "jacobian_us_per_call": {k: statistics.median(v) for k, v in jac.items()},
+        "fit_ms": {
+            ds: {k.value: statistics.median(fits[(ds, k.value)]) for k in kinds}
+            for ds in ("golden", "far_ed50")
+        },
+        "study_cell_reps_per_s": statistics.median(rates),
+        "repeats": repeats,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "measured_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=Path("src"), help="emaxbr source tree")
+    ap.add_argument("--label", required=True, help="key for this run, e.g. parent or change")
+    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--out", type=Path, default=Path("BENCH_fit.json"))
+    args = ap.parse_args(argv)
+
+    src = args.src.resolve()
+    if not (src / "emaxbr" / "__init__.py").is_file():
+        sys.exit(f"bench_fit: no emaxbr sources under {src}")
+    sys.path.insert(0, str(src))
+    import emaxbr
+
+    if Path(emaxbr.__file__).resolve().parent != (src / "emaxbr").resolve():
+        sys.exit(f"bench_fit: imported emaxbr from {emaxbr.__file__}, not {src}")
+    result = measure(emaxbr, args.repeats)
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    doc[args.label] = result
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(json.dumps({args.label: result}, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

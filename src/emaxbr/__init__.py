@@ -17,6 +17,8 @@ from .model import (
     score,
     hessian,
     expected_information,
+    SingularInformation,
+    invert_information,
 )
 from .cumulants import (
     CumulantBundle,
@@ -32,7 +34,6 @@ from .estimators import (
     FitStatus,
     StatusReason,
     FitResult,
-    SingularInformation,
     starting_values,
     fit_mle,
     cox_snell_bias,
@@ -41,6 +42,7 @@ from .estimators import (
     fit_firth,
     penalized_loglik,
     penalized_score,
+    penalized_hessian,
     fit_mple,
     fit,
     fit_all,

@@ -4,7 +4,7 @@
 * ``fit_cox_snell`` — analytic first-order bias subtraction after the MLE.
 * ``fit_firth``     — root-finding on the modified score equations (which
   are not the gradient of any objective, so the solve is a globalized
-  quasi-Newton root-finder rather than an ascent).
+  Levenberg-Marquardt root-finder rather than an ascent).
 * ``fit_mple``      — ascent on the penalized log-likelihood whose penalty
   is half the log-determinant of the expected information.
 
@@ -30,6 +30,18 @@ calls as the per-point loop that the batch replaced, so the start point is
 unchanged bit for bit and so are the study artifacts.  The estimating
 equations evaluate the derivative tensors once per call and derive the
 score, the information and the cumulants from them.
+
+Exact Jacobians
+---------------
+The penalized and modified scores share one form,
+``U_s + 0.5 * tr(I^{-1} A_s)``, with ``A = dI/dtheta`` for the MPLE and
+``A = P + kappa_{rj,l}`` for Firth.  Their Jacobians follow analytically
+from the derivative tensors an iterate already holds (Kosmidis & Firth
+2009): the score's Jacobian is the Hessian, and the adjustment's needs the
+second-order tensors of :func:`~emaxbr.cumulants._second_order_from`.  The
+MPLE ascent takes its curvature, and its covariance, from the exact
+penalized Hessian; the Firth root-finder takes each accepted point's
+residual and Jacobian from one tensor pass.
 """
 
 from __future__ import annotations
@@ -39,21 +51,23 @@ from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .cumulants import _bundle_from
+from .cumulants import CumulantBundle, _bundle_from, _second_order_from
 from .model import (
     DerivTensors,
     EmaxParams,
     ObservationSet,
+    SingularInformation,
     _hessian_from,
     _information_from,
     _log_likelihood_from,
     _score_from,
     deriv_tensors,
-    hessian,
+    invert_information,
 )
 
 __all__ = [
@@ -70,6 +84,7 @@ __all__ = [
     "fit_firth",
     "penalized_loglik",
     "penalized_score",
+    "penalized_hessian",
     "fit_mple",
     "fit",
     "fit_all",
@@ -81,13 +96,6 @@ __all__ = [
 # divergent: fitted arm probabilities are within ~2e-9 of 0/1 there, so the
 # likelihood surface carries no usable information.
 _DIVERGENCE_BOUND = 20.0
-
-# Reciprocal-condition cutoff for declaring a matrix singular.
-_SINGULAR_RCOND = 1e-12
-
-
-class SingularInformation(np.linalg.LinAlgError):
-    """Raised when an information matrix is not invertible at tolerance."""
 
 
 class EstimatorKind(enum.Enum):
@@ -181,15 +189,6 @@ class FitResult:
             raise ValueError("Unstable results must carry params")
 
 
-def _solve_psd(a: np.ndarray, rcond: float = _SINGULAR_RCOND) -> np.ndarray:
-    """Invert a symmetric matrix, raising SingularInformation when degenerate."""
-    if not np.all(np.isfinite(a)):
-        raise SingularInformation("non-finite matrix")
-    if np.linalg.cond(a) > 1.0 / rcond:
-        raise SingularInformation("reciprocal condition below tolerance")
-    return np.linalg.inv(a)
-
-
 def _phi_bounds(data: ObservationSet, config: SolverConfig) -> tuple[float, float]:
     hi = np.log(config.ed50_upper_mult * data.dmax())
     lo = np.log(config.ed50_lower_mult * data.dmin_positive())
@@ -260,13 +259,45 @@ def _safe_se(cov: np.ndarray) -> np.ndarray | None:
     return np.sqrt(d)
 
 
-def _neg_hessian_cov(theta: np.ndarray, data: ObservationSet) -> np.ndarray | None:
-    params = EmaxParams.from_array(theta)
-    neg_h = -hessian(params, data)
+def _inverse_or_none(a: np.ndarray) -> np.ndarray | None:
     try:
-        return np.linalg.inv(neg_h)
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None
+
+
+class _Point(NamedTuple):
+    """What the estimating equations and their Jacobians need at one point."""
+
+    tens: DerivTensors
+    inv: np.ndarray  # inverse (or pseudo-inverse) of the expected information
+    bundle: CumulantBundle
+
+
+def _point(tens: DerivTensors, data: ObservationSet, invert) -> _Point:
+    return _Point(tens, invert(_information_from(tens, data)), _bundle_from(tens, data))
+
+
+def _adjusted_score(pt: _Point, data: ObservationSet, adj: np.ndarray) -> np.ndarray:
+    """Score plus ``0.5 * tr(I^{-1} adj_s)`` for each slice ``s`` of ``adj``."""
+    return _score_from(pt.tens, data) + 0.5 * np.einsum("rj,rjl->l", pt.inv, adj)
+
+
+def _adjusted_jacobian(
+    pt: _Point, data: ObservationSet, adj: np.ndarray, d_adj: np.ndarray
+) -> np.ndarray:
+    """Exact Jacobian ``J[s,t]`` of :func:`_adjusted_score` in ``theta_t``.
+
+    ``d_adj[r,j,s,t]`` is the derivative of ``adj[r,j,s]``; with
+    ``dI^{-1}/dtheta_t = -I^{-1} dI_t I^{-1}``,
+    ``J[s,t] = H_st + 0.5 [sum I^{-1}_jr d_adj[r,j,s,t] - tr(I^{-1} dI_t I^{-1} adj_s)]``
+    (Kosmidis & Firth 2009, Biometrika 96:793).
+    """
+    inv_di = np.einsum("ab,bct->act", pt.inv, pt.bundle.dI)
+    inv_adj = np.einsum("ab,bcs->acs", pt.inv, adj)
+    return _hessian_from(pt.tens, data) + 0.5 * (
+        np.einsum("jr,rjst->st", pt.inv, d_adj) - np.einsum("abt,bas->st", inv_di, inv_adj)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +520,15 @@ def _solve_mle(work: _DatasetWork) -> FitResult:
             status_reason=StatusReason.NON_CONVERGENCE,
             iterations=config.max_iter,
         )
-    neg_h = -_hessian_from(tens, data)
-    if not np.all(np.isfinite(neg_h)) or np.linalg.cond(neg_h) > 1.0 / _SINGULAR_RCOND:
+    try:
+        cov = invert_information(-_hessian_from(tens, data))
+    except SingularInformation:
         return FitResult(
             kind=EstimatorKind.MLE,
             status=FitStatus.FailedToEstimate,
             status_reason=StatusReason.SINGULAR_INFORMATION,
             iterations=it,
         )
-    cov = np.linalg.inv(neg_h)
     return _classify(EstimatorKind.MLE, theta, cov, it, data, config)
 
 
@@ -505,10 +536,8 @@ def _solve_mle(work: _DatasetWork) -> FitResult:
 # Cox-Snell correction
 # ---------------------------------------------------------------------------
 
-def _bias_from(tens: DerivTensors, data: ObservationSet, invert) -> np.ndarray:
-    inv = invert(_information_from(tens, data))
-    bundle = _bundle_from(tens, data)
-    return np.einsum("sr,jl,rjl->s", inv, inv, 0.5 * bundle.k3 + bundle.k2_1)
+def _bias_at(pt: _Point) -> np.ndarray:
+    return np.einsum("sr,jl,rjl->s", pt.inv, pt.inv, 0.5 * pt.bundle.k3 + pt.bundle.k2_1)
 
 
 def cox_snell_bias(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -518,7 +547,7 @@ def cox_snell_bias(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     negative-information entries carry the cumulant signs already).  Scales
     as O(1/n) in the total sample size.
     """
-    return _bias_from(deriv_tensors(params, data), data, _solve_psd)
+    return _bias_at(_point(deriv_tensors(params, data), data, invert_information))
 
 
 def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
@@ -533,7 +562,7 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
     if base.status is FitStatus.FailedToEstimate:
         return replace(base, kind=EstimatorKind.CoxSnell)
     try:
-        bias = _bias_from(deriv_tensors(base.params, data), data, np.linalg.inv)
+        bias = _bias_at(_point(deriv_tensors(base.params, data), data, np.linalg.inv))
     except np.linalg.LinAlgError:
         return FitResult(
             kind=EstimatorKind.CoxSnell,
@@ -564,67 +593,61 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
 # Firth modified score
 # ---------------------------------------------------------------------------
 
-def _modified_score_from(tens: DerivTensors, data: ObservationSet, invert) -> np.ndarray:
-    inv = invert(_information_from(tens, data))
-    bundle = _bundle_from(tens, data)
-    return _score_from(tens, data) + 0.5 * np.einsum("rj,rjl->l", inv, bundle.p + bundle.k2_1)
+def _modified_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
+    return _adjusted_score(pt, data, pt.bundle.p + pt.bundle.k2_1)
+
+
+def _modified_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
+    return _adjusted_jacobian(
+        pt, data, pt.bundle.p + pt.bundle.k2_1, _second_order_from(pt.tens, data)[1]
+    )
 
 
 def firth_modified_score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """Modified score ``U_s + 0.5 * tr(I^{-1} (P_s + kappa_{..,s}))``."""
-    return _modified_score_from(deriv_tensors(params, data), data, _solve_psd)
+    return _modified_score_at(_point(deriv_tensors(params, data), data, invert_information), data)
 
 
-def _firth_score_guarded(theta: np.ndarray, data: ObservationSet) -> np.ndarray:
-    """Modified score that tolerates the degenerate far field.
+def _firth_point(theta: np.ndarray, data: ObservationSet) -> tuple[np.ndarray, _Point | None]:
+    """Modified score at ``theta``, tolerating the degenerate far field, and its point.
 
     Far from the data-supported region the expected information loses rank;
     a pseudo-inverse keeps the equations defined there so that the
     root-finder can traverse (and terminate in) boundary plateaus.
-    Numerical breakdown surfaces as NaN entries, which the root-finder
-    rejects like any other non-finite evaluation.
+    Numerical breakdown surfaces as NaN entries and no point, which the
+    root-finder rejects like any other non-finite evaluation.
     """
     if not np.all(np.isfinite(theta)):
-        return np.full(3, np.nan)
+        return np.full(3, np.nan), None
     try:
-        tens = deriv_tensors(EmaxParams.from_array(theta), data)
-        return _modified_score_from(tens, data, np.linalg.pinv)
+        pt = _point(deriv_tensors(EmaxParams.from_array(theta), data), data, np.linalg.pinv)
     except np.linalg.LinAlgError:
-        return np.full(3, np.nan)
+        return np.full(3, np.nan), None
+    return _modified_score_at(pt, data), pt
 
 
-def _fd_jacobian(func, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    jac = np.zeros((3, 3))
-    for s in range(3):
-        h = step * max(1.0, abs(theta[s]))
-        up, dn = theta.copy(), theta.copy()
-        up[s] += h
-        dn[s] -= h
-        jac[:, s] = (func(up) - func(dn)) / (2.0 * h)
-    return jac
+def _lm_root(data: ObservationSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
+    """Damped least-squares root-finder on the modified score equations.
 
-
-def _lm_root(func, theta0: np.ndarray, max_iter: int, grad_tol: float):
-    """Damped least-squares root-finder on a 3-vector estimating equation.
-
-    Each iteration solves ``(J^T J + mu I) step = -J^T F`` with a fresh
-    finite-difference Jacobian, clips the step componentwise to [-2, 2],
+    Each iteration solves ``(J^T J + mu I) step = -J^T F`` with the exact
+    Jacobian at the current point, clips the step componentwise to [-2, 2],
     and accepts only norm-reducing moves (the equations admit no objective,
-    so the residual norm is the only merit function).  Returns
-    ``(theta, iterations, converged)``.
+    so the residual norm is the only merit function).  The point of an
+    accepted candidate supplies both its residual and its Jacobian.
+    Returns ``(theta, point, iterations, converged)``.
     """
     theta = theta0.copy()
-    fx = func(theta)
+    fx, pt = _firth_point(theta, data)
     if not np.all(np.isfinite(fx)):
-        return theta, 0, False
+        return theta, pt, 0, False
     norm = float(np.linalg.norm(fx))
     mu = 0.0
     it = 0
     while it < max_iter:
         it += 1
         if np.max(np.abs(fx)) <= grad_tol:
-            return theta, it, True
-        jac = _fd_jacobian(func, theta)
+            return theta, pt, it, True
+        jac = _modified_jacobian_at(pt, data)
         accepted = False
         mu_try = mu
         for _ in range(40):
@@ -635,16 +658,16 @@ def _lm_root(func, theta0: np.ndarray, max_iter: int, grad_tol: float):
                 continue
             step = np.clip(step, -2.0, 2.0)
             cand = theta + step
-            fc = func(cand)
+            fc, cand_pt = _firth_point(cand, data)
             if np.all(np.isfinite(fc)) and np.linalg.norm(fc) < norm:
                 accepted = True
                 break
             mu_try = max(mu_try * 10.0, 1e-8)
         if not accepted:
-            return theta, it, False
+            return theta, pt, it, False
         mu = mu_try / 3.0
-        theta, fx, norm = cand, fc, float(np.linalg.norm(fc))
-    return theta, max_iter, False
+        theta, fx, pt, norm = cand, fc, cand_pt, float(np.linalg.norm(fc))
+    return theta, pt, max_iter, False
 
 
 def _adjusted_logit(k: float, n: float) -> float:
@@ -685,21 +708,20 @@ def _firth_starts(
 def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
     """Solve the modified score equations and classify the root.
 
-    Multi-start damped quasi-Newton root-finding with a finite-difference
-    Jacobian and trust clamping; covariance from the inverse negative
-    Hessian at the root.  Roots in the degenerate far field (huge or tiny
-    ED50) are genuine solutions of the estimating equations and surface as
-    ``Unstable`` bound hits rather than failures.
+    Multi-start Levenberg-Marquardt root-finding with the exact Jacobian of
+    the modified score and trust clamping; covariance from the inverse
+    negative Hessian at the root, taken from the derivative tensors the
+    root-finder already holds there.  Roots in the degenerate far field
+    (huge or tiny ED50) are genuine solutions of the estimating equations
+    and surface as ``Unstable`` bound hits rather than failures.
     """
     work = _work(data, config)
     mple = work.mple()
     lead = mple.params.as_array() if mple.params is not None else work.start()
-    func = lambda t: _firth_score_guarded(t, data)
     total_it = 0
-    theta = lead
     for theta0 in _firth_starts(data, lead, work.start()):
         budget = max(50, config.max_iter - total_it)
-        theta, it, ok = _lm_root(func, theta0, budget, config.grad_tol)
+        theta, pt, it, ok = _lm_root(data, theta0, budget, config.grad_tol)
         total_it += it
         if ok:
             break
@@ -710,7 +732,7 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
             status_reason=StatusReason.NON_CONVERGENCE,
             iterations=total_it,
         )
-    cov = _neg_hessian_cov(theta, data)
+    cov = _inverse_or_none(-_hessian_from(pt.tens, data))
     return _classify(EstimatorKind.Firth, theta, cov, total_it, data, config)
 
 
@@ -735,49 +757,43 @@ def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
     return _penalized_loglik_from(deriv_tensors(params, data), data)
 
 
-def _penalized_score_from(tens: DerivTensors, data: ObservationSet, invert) -> np.ndarray:
-    inv = invert(_information_from(tens, data))
-    bundle = _bundle_from(tens, data)
-    return _score_from(tens, data) + 0.5 * np.einsum("rj,rjl->l", inv, bundle.dI)
+def _penalized_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
+    return _adjusted_score(pt, data, pt.bundle.dI)
+
+
+def _penalized_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
+    return _adjusted_jacobian(pt, data, pt.bundle.dI, _second_order_from(pt.tens, data)[0])
 
 
 def penalized_score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """Exact gradient of the penalized log-likelihood.
 
     ``U_s + 0.5 * tr(I^{-1} dI/dtheta_s)`` — the half matches the square
-    root in the penalty and is enforced by the finite-difference oracle in
-    the test suite.
+    root in the penalty.  Its Jacobian is :func:`penalized_hessian`.
     """
-    return _penalized_score_from(deriv_tensors(params, data), data, _solve_psd)
+    return _penalized_score_at(_point(deriv_tensors(params, data), data, invert_information), data)
 
 
-def _penalized_score_guarded(theta: np.ndarray, data: ObservationSet) -> np.ndarray:
-    tens = deriv_tensors(EmaxParams.from_array(theta), data)
-    return _penalized_score_from(tens, data, np.linalg.pinv)
+def penalized_hessian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
+    """Exact Hessian of the penalized log-likelihood (Jacobian of :func:`penalized_score`).
 
-
-def _penalized_curvature(theta: np.ndarray, data: ObservationSet) -> np.ndarray:
-    """Symmetrized finite-difference Jacobian of the penalized score."""
-    jac = np.zeros((3, 3))
-    for s in range(3):
-        h = 1e-5 * max(1.0, abs(theta[s]))
-        up, dn = theta.copy(), theta.copy()
-        up[s] += h
-        dn[s] -= h
-        jac[:, s] = (
-            _penalized_score_guarded(up, data) - _penalized_score_guarded(dn, data)
-        ) / (2.0 * h)
-    return 0.5 * (jac + jac.T)
+    ``H_st + 0.5 * [tr(I^{-1} d2I/dtheta_s dtheta_t) - tr(I^{-1} dI_t I^{-1} dI_s)]``,
+    symmetric by construction.  Raises :class:`SingularInformation` where the
+    expected information is not invertible.
+    """
+    return _penalized_jacobian_at(
+        _point(deriv_tensors(params, data), data, invert_information), data
+    )
 
 
 def fit_mple(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
     """Maximize the Jeffreys-penalized likelihood.
 
-    Modified-Newton ascent: the finite-difference curvature has its
+    Modified-Newton ascent: the exact penalized Hessian has its
     eigenvalues floored away from zero on the negative side so the search
     direction is always a proper ascent direction, which keeps progress
     brisk along the curved ridges that one-sided event patterns create.
-    Covariance is the inverse of the negative penalized-score Jacobian at
+    Covariance is the exact inverse of the negative penalized Hessian at
     the maximizer.
     """
     return _work(data, config).mple()
@@ -788,13 +804,14 @@ def _solve_mple(work: _DatasetWork) -> FitResult:
     theta = work.start()
     tens = deriv_tensors(EmaxParams.from_array(theta), data)
     f = _penalized_loglik_from(tens, data)
-    g = _penalized_score_from(tens, data, np.linalg.pinv)
+    pt = _point(tens, data, np.linalg.pinv)
+    g = _penalized_score_at(pt, data)
     it = 0
     while it < config.max_iter:
         it += 1
         if np.max(np.abs(g)) <= config.grad_tol:
             break
-        curv = _penalized_curvature(theta, data)
+        curv = _penalized_jacobian_at(pt, data)
         eigval, eigvec = np.linalg.eigh(curv)
         floor = -1e-8 * max(1.0, float(np.max(np.abs(eigval))))
         eigval = np.minimum(eigval, floor)
@@ -820,8 +837,9 @@ def _solve_mple(work: _DatasetWork) -> FitResult:
                 status_reason=StatusReason.NON_CONVERGENCE,
                 iterations=it,
             )
-        theta, f, tens = cand, fc, cand_tens
-        g = _penalized_score_from(tens, data, np.linalg.pinv)
+        theta, f = cand, fc
+        pt = _point(cand_tens, data, np.linalg.pinv)
+        g = _penalized_score_at(pt, data)
     else:
         return FitResult(
             kind=EstimatorKind.MPLE,
@@ -829,11 +847,7 @@ def _solve_mple(work: _DatasetWork) -> FitResult:
             status_reason=StatusReason.NON_CONVERGENCE,
             iterations=config.max_iter,
         )
-    obs = -_penalized_curvature(theta, data)
-    try:
-        cov = np.linalg.inv(obs)
-    except np.linalg.LinAlgError:
-        cov = None
+    cov = _inverse_or_none(-_penalized_jacobian_at(pt, data))
     return _classify(EstimatorKind.MPLE, theta, cov, it, data, config)
 
 

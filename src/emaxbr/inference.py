@@ -23,9 +23,9 @@ from .estimators import (
     SolverConfig,
     StatusReason,
     fit,
+    penalized_hessian,
 )
-from .model import EmaxParams, ObservationSet, hessian, predict_prob
-from .estimators import _penalized_curvature, _solve_psd
+from .model import EmaxParams, ObservationSet, hessian, invert_information, predict_prob
 
 __all__ = [
     "WaldInterval",
@@ -114,7 +114,8 @@ def covariance(kind: EstimatorKind, params: EmaxParams, data: ObservationSet) ->
 
     MLE, Cox-Snell, and Firth use the inverse negative log-likelihood
     Hessian.  The MPLE uses the inverse of the observed information of the
-    penalized log-likelihood (the negative Jacobian of the penalized score).
+    penalized log-likelihood, the negative of the exact
+    :func:`~emaxbr.estimators.penalized_hessian`.
 
     Raises
     ------
@@ -122,9 +123,8 @@ def covariance(kind: EstimatorKind, params: EmaxParams, data: ObservationSet) ->
         If the relevant information matrix is not invertible.
     """
     if kind is EstimatorKind.MPLE:
-        obs = -_penalized_curvature(params.as_array(), data)
-        return _solve_psd(obs)
-    return _solve_psd(-hessian(params, data))
+        return invert_information(-penalized_hessian(params, data))
+    return invert_information(-hessian(params, data))
 
 
 def wald_ci(estimate: float, se: float, level: float = 0.95) -> WaldInterval:

@@ -29,7 +29,16 @@ __all__ = [
     "score",
     "hessian",
     "expected_information",
+    "SingularInformation",
+    "invert_information",
 ]
+
+# Reciprocal-condition cutoff for declaring an information matrix singular.
+_SINGULAR_RCOND = 1e-12
+
+
+class SingularInformation(np.linalg.LinAlgError):
+    """Raised when an information matrix is not invertible at tolerance."""
 
 
 @dataclass(frozen=True)
@@ -257,6 +266,19 @@ def expected_information(params: EmaxParams, data: ObservationSet) -> np.ndarray
     Positive semidefinite and independent of the observed events.
     """
     return _information_from(deriv_tensors(params, data), data)
+
+
+def invert_information(a: np.ndarray) -> np.ndarray:
+    """Invert a symmetric information matrix, raising SingularInformation when degenerate.
+
+    A matrix is degenerate when it has a non-finite entry or its condition
+    number exceeds ``1e12``.
+    """
+    if not np.all(np.isfinite(a)):
+        raise SingularInformation("non-finite matrix")
+    if np.linalg.cond(a) > 1.0 / _SINGULAR_RCOND:
+        raise SingularInformation("reciprocal condition below tolerance")
+    return np.linalg.inv(a)
 
 
 # The from-tensors forms below let a caller that needs several of these

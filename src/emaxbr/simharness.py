@@ -117,8 +117,13 @@ class CellMetrics:
     n_used: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRow:
+    """One (replicate, estimator) line of the audit log.
+
+    Slotted: a study holds one row per fit, so rows carry no per-instance dict.
+    """
+
     rep: int
     estimator: str
     status: str

@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume
 from scipy.special import expit
 from scipy.stats import binom
 
-from emaxbr import EmaxParams, ObservationSet
+from emaxbr import EmaxParams, ObservationSet, expected_information
 
 
 def random_params(rng: np.random.Generator) -> EmaxParams:
@@ -27,6 +28,19 @@ def random_dataset(rng: np.random.Generator, n_arms: int | None = None) -> Obser
     n = rng.integers(10, 60, size=m).astype(float)
     events = np.array([rng.integers(1, int(k)) for k in n], dtype=float)
     return ObservationSet(doses, n, events)
+
+
+def well_conditioned_point(seed: int, max_cond: float = 1e4) -> tuple[EmaxParams, ObservationSet]:
+    """A random parameter point and dataset whose expected information is well conditioned.
+
+    Analytic Jacobians contract the inverse information twice, so their
+    rounding error grows with its condition number; derivative oracles that
+    compare them with finite differences draw points with ``cond(I) < max_cond``.
+    """
+    rng = np.random.default_rng(seed)
+    params, data = random_params(rng), random_dataset(rng)
+    assume(np.linalg.cond(expected_information(params, data)) < max_cond)
+    return params, data
 
 
 def enumerate_outcomes(data: ObservationSet, params: EmaxParams):

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emaxbr import (
     EmaxParams,
     ObservationSet,
     cumulant_bundle,
+    deriv_tensors,
     expected_information,
     hessian,
     info_derivative,
@@ -16,7 +18,9 @@ from emaxbr import (
     score,
 )
 
-from conftest import enumerate_outcomes, random_dataset, random_params
+from emaxbr.cumulants import _second_order_from
+
+from conftest import enumerate_outcomes, random_dataset, random_params, well_conditioned_point
 
 SMALL_DESIGNS = [
     # (params, dataset) with total n <= 12: exact enumeration is feasible
@@ -124,6 +128,30 @@ class TestInfoDerivative:
             data = random_dataset(rng)
             b = cumulant_bundle(params, data)
             np.testing.assert_allclose(b.dI, -(b.k3 + b.k2_1), rtol=1e-12, atol=1e-12)
+
+
+class TestSecondOrder:
+    """``d2I`` and ``dB`` against differences of the first-order tensors."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_d2I_is_derivative_of_info_derivative(self, seed):
+        params, data = well_conditioned_point(seed)
+        d2I, _ = _second_order_from(deriv_tensors(params, data), data)
+        for t in range(3):
+            fd = _richardson_slice(lambda p: info_derivative(p, data), params, t)
+            np.testing.assert_allclose(d2I[..., t], fd, rtol=1e-8, atol=1e-8)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_dB_is_derivative_of_modified_score_tensor(self, seed):
+        params, data = well_conditioned_point(seed)
+        _, dB = _second_order_from(deriv_tensors(params, data), data)
+        for t in range(3):
+            fd = _richardson_slice(
+                lambda p: p_tensor(p, data) + kappa_rj_l(p, data), params, t
+            )
+            np.testing.assert_allclose(dB[..., t], fd, rtol=1e-8, atol=1e-8)
 
 
 class TestSymmetryAndScaling:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from emaxbr import (
     EmaxParams,
@@ -12,6 +12,7 @@ from emaxbr import (
     SolverConfig,
     StatusReason,
     cox_snell_bias,
+    deriv_tensors,
     firth_modified_score,
     fit,
     fit_all,
@@ -19,7 +20,9 @@ from emaxbr import (
     fit_firth,
     fit_mle,
     fit_mple,
+    invert_information,
     log_likelihood,
+    penalized_hessian,
     penalized_loglik,
     penalized_score,
     predict_prob,
@@ -28,7 +31,8 @@ from emaxbr import (
 )
 
 from emaxbr import estimators
-from conftest import random_dataset, random_params
+from conftest import random_dataset, random_params, well_conditioned_point
+from test_cumulants import _richardson_slice
 from test_start_grid import datasets
 
 
@@ -295,6 +299,40 @@ class TestMPLE:
         res = fit_mple(d)
         assert res.status is FitStatus.Converged
         assert res.iterations <= 40
+
+
+def _fd_jacobian(func, params: EmaxParams) -> np.ndarray:
+    """``J[s, t] = d func_s / d theta_t`` by fourth-order differences."""
+    return np.stack([_richardson_slice(func, params, t) for t in range(3)], axis=-1)
+
+
+def _firth_jacobian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
+    pt = estimators._point(deriv_tensors(params, data), data, invert_information)
+    return estimators._modified_jacobian_at(pt, data)
+
+
+class TestJacobians:
+    """The exact Jacobians the MPLE ascent and the Firth root use."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_penalized_hessian_is_jacobian_of_penalized_score(self, seed):
+        p, d = well_conditioned_point(seed)
+        fd = _fd_jacobian(lambda q: penalized_score(q, d), p)
+        np.testing.assert_allclose(penalized_hessian(p, d), fd, rtol=1e-6, atol=1e-6)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_firth_jacobian_is_jacobian_of_modified_score(self, seed):
+        p, d = well_conditioned_point(seed)
+        fd = _fd_jacobian(lambda q: firth_modified_score(q, d), p)
+        np.testing.assert_allclose(_firth_jacobian(p, d), fd, rtol=1e-6, atol=1e-6)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_penalized_hessian_is_symmetric(self, seed):
+        jac = penalized_hessian(*well_conditioned_point(seed))
+        np.testing.assert_allclose(jac, jac.T, rtol=1e-10, atol=1e-10 * np.max(np.abs(jac)))
 
 
 class TestClassification:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -173,6 +174,11 @@ class TestTables:
     def test_unknown_format_rejected(self, small_metrics):
         with pytest.raises(ValueError):
             emit_table(small_metrics, format="yaml")
+
+    def test_audit_rows_are_slotted_and_pickle(self, small_metrics):
+        rows = small_metrics.audit
+        assert not hasattr(rows[0], "__dict__")
+        assert pickle.loads(pickle.dumps(rows)) == rows
 
     def test_audit_csv_layout(self, small_metrics):
         lines = audit_csv(small_metrics).splitlines()
