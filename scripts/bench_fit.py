@@ -2,11 +2,11 @@
 
 Measures, against the emaxbr sources under ``--src``:
 
-* the cost per solver iterate of the MPLE curvature and of the Firth
-  Jacobian, in microseconds per call, at the MPLE fit of the bundled
-  golden dataset.  Sources with exact Jacobians time them from the
-  iterate's held point; older sources time their finite-difference forms
-  (``_penalized_curvature`` and ``_fd_jacobian``);
+* the cost per solver iterate of the exact MPLE curvature and of the
+  exact Firth Jacobian, in microseconds per call, at the MPLE fit of the
+  bundled golden dataset, each timed from the iterate's held point
+  (``_point``, ``_penalized_jacobian_at`` and ``_modified_jacobian_at``,
+  which both the tensor-form and the per-arm sources define);
 * milliseconds per fit of each estimator, each fit standalone (outside
   ``shared_work``), on the golden dataset and on replicate 0 of the
   far-ED50 study (truth ``(-2.197, 2.197, log 250)``, n = 200, seed 3);
@@ -59,18 +59,11 @@ def _per_call(fn, min_seconds: float) -> float:
 def _jacobian_calls(emaxbr, data):
     """Per-iterate Jacobian calls of both solvers at the golden MPLE point."""
     est = emaxbr.estimators
-    theta = emaxbr.fit_mple(data).params.as_array()
-    if hasattr(est, "_penalized_jacobian_at"):
-        tens = emaxbr.deriv_tensors(emaxbr.EmaxParams.from_array(theta), data)
-        pt = est._point(tens, data, np.linalg.pinv)
-        return "exact", {
-            "penalized": lambda: est._penalized_jacobian_at(pt, data),
-            "firth": lambda: est._modified_jacobian_at(pt, data),
-        }
-    func = lambda t: est._firth_score_guarded(t, data)  # noqa: E731
-    return "finite-difference", {
-        "penalized": lambda: est._penalized_curvature(theta, data),
-        "firth": lambda: est._fd_jacobian(func, theta),
+    tens = emaxbr.deriv_tensors(emaxbr.fit_mple(data).params, data)
+    pt = est._point(tens, data, np.linalg.pinv)
+    return {
+        "penalized": lambda: est._penalized_jacobian_at(pt, data),
+        "firth": lambda: est._modified_jacobian_at(pt, data),
     }
 
 
@@ -99,7 +92,7 @@ def measure(emaxbr, repeats: int) -> dict:
         seed=4_100_000,
     )
 
-    form, jac_calls = _jacobian_calls(emaxbr, golden)
+    jac_calls = _jacobian_calls(emaxbr, golden)
     jac = {name: [] for name in jac_calls}
     fits = {(ds, k.value): [] for ds in ("golden", "far_ed50") for k in kinds}
     rates = []
@@ -116,7 +109,6 @@ def measure(emaxbr, repeats: int) -> dict:
         rates.append(cell.n_reps / (time.perf_counter() - t0))
 
     return {
-        "jacobian_form": form,
         "jacobian_us_per_call": {k: statistics.median(v) for k, v in jac.items()},
         "fit_ms": {
             ds: {k.value: statistics.median(fits[(ds, k.value)]) for k in kinds}

@@ -1,7 +1,7 @@
 """Higher-order likelihood cumulants for the binary Emax model.
 
-These dense ``3 x 3 x 3`` tensors are the raw material for the analytic
-bias correction and the modified-score adjustment:
+These dense ``3 x 3 x 3`` tensors define the analytic bias correction and
+the modified-score adjustment:
 
 * ``kappa_rjl``  — expected third derivatives of the log-likelihood,
 * ``kappa_rj_l`` — mixed cumulants ``E[H_rj U_l]``,
@@ -10,9 +10,14 @@ bias correction and the modified-score adjustment:
 
 All four are assembled from the generic binary-logit identities applied to
 the eta-derivative tensors, with binomial weights ``w = n pi (1-pi)`` and
-skewness weights ``w (1-2 pi)`` per arm.  The derivatives of ``dI`` and of
-``p + kappa_rj_l``, which the exact solver Jacobians need, come from the same
-tensors (``_second_order_from``).
+skewness weights ``w (1-2 pi)`` per arm.
+
+This module is the public reference API for the cumulants; the solvers do
+not use it.  :mod:`emaxbr.estimators` builds the modified score, the
+penalized score, the Cox-Snell bias and their Jacobians from per-arm
+quantities (``I^{-1} g_i``, the leverages ``g_i' I^{-1} g_i`` and
+``tr(I^{-1} h_i)``), which are the same sums contracted with ``I^{-1}``
+first.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivTensors, EmaxParams, ObservationSet, deriv_tensors
+from .model import EmaxParams, ObservationSet, deriv_tensors
 
 __all__ = [
     "CumulantBundle",
@@ -68,19 +73,10 @@ def cumulant_bundle(params: EmaxParams, data: ObservationSet) -> CumulantBundle:
     The expectation over responses kills all terms involving the residual
     times the third-order eta tensor, so only ``g`` and ``h`` appear.
     """
-    return _bundle_from(deriv_tensors(params, data), data)
-
-
-def _weights(tens: DerivTensors, data: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm ``w = n pi (1-pi)`` and its eta-derivative ``w (1-2 pi)``."""
-    w = data.n * tens.pi * (1.0 - tens.pi)
-    return w, w * (1.0 - 2.0 * tens.pi)
-
-
-def _bundle_from(tens: DerivTensors, data: ObservationSet) -> CumulantBundle:
-    """:func:`cumulant_bundle` from derivative tensors the caller already holds."""
+    tens = deriv_tensors(params, data)
     g, h = tens.g, tens.h
-    w, w3 = _weights(tens, data)
+    w = data.n * tens.pi * (1.0 - tens.pi)
+    w3 = w * (1.0 - 2.0 * tens.pi)
     ggg = np.einsum("i,ir,ij,il->rjl", w3, g, g, g)
     hg = np.einsum("i,irj,il->rjl", w, h, g)
     hg_rl_j = np.einsum("i,irl,ij->rjl", w, h, g)
@@ -88,52 +84,6 @@ def _bundle_from(tens: DerivTensors, data: ObservationSet) -> CumulantBundle:
     k3 = -ggg - hg_rl_j - gh_r_jl - hg
     dI = ggg + hg_rl_j + gh_r_jl
     return CumulantBundle(k3=k3, k2_1=hg, p=ggg, dI=dI)
-
-
-def _second_order_from(
-    tens: DerivTensors, data: ObservationSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives ``d2I[r,j,s,t] = d dI[r,j,s] / dtheta_t`` and ``dB[r,j,s,t]``.
-
-    ``B = p + k2_1`` is the modified-score adjustment tensor.  Differentiating
-    the weights once more gives ``w2 = w (1 - 6 pi + 6 pi^2)``; with
-    ``w1 = w (1-2 pi)`` and sums over arms:
-
-    * ``d2I = sum_i [w2 g_r g_j g_s g_t
-      + w1 (h_st g_r g_j + h_rt g_j g_s + h_jt g_r g_s + h_rs g_j g_t + h_js g_r g_t)
-      + w (t_rst g_j + g_r t_jst + h_rs h_jt + h_rt h_js)]``
-    * ``dB  = sum_i [w2 g_r g_j g_s g_t
-      + w1 (h_rt g_j g_s + h_jt g_r g_s + h_st g_r g_j + h_rj g_s g_t)
-      + w (t_rjt g_s + h_rj h_st)]``
-
-    These are the ingredients of the exact Jacobians of the penalized and
-    modified scores.
-    """
-    g, h, t = tens.g, tens.h, tens.t
-    w, w1 = _weights(tens, data)
-    w2 = w * (1.0 - 6.0 * tens.pi * (1.0 - tens.pi))
-    # Every term is an index permutation of one of four arm sums; each
-    # transpose below is marked with the term it yields at [r, j, s, t].
-    hgg = np.einsum("i,iab,ic,id->abcd", w1, h, g, g)  # h_ab g_c g_d
-    tg = np.einsum("i,iabc,id->abcd", w, t, g)  # t_abc g_d
-    hh = np.einsum("i,iab,icd->abcd", w, h, h)  # h_ab h_cd
-    shared = (
-        np.einsum("i,ir,ij,is,it->rjst", w2, g, g, g, g)
-        + hgg.transpose(2, 3, 0, 1)  # h_st g_r g_j
-        + hgg.transpose(0, 2, 3, 1)  # h_rt g_j g_s
-        + hgg.transpose(2, 0, 3, 1)  # h_jt g_r g_s
-    )
-    d2I = (
-        shared
-        + hgg.transpose(0, 2, 1, 3)  # h_rs g_j g_t
-        + hgg.transpose(2, 0, 1, 3)  # h_js g_r g_t
-        + tg.transpose(0, 3, 1, 2)  # t_rst g_j
-        + tg.transpose(3, 0, 1, 2)  # g_r t_jst
-        + hh.transpose(0, 2, 1, 3)  # h_rs h_jt
-        + hh.transpose(0, 2, 3, 1)  # h_rt h_js
-    )
-    dB = shared + hgg + tg.transpose(0, 1, 3, 2) + hh  # ... + h_rj g_s g_t + t_rjt g_s + h_rj h_st
-    return d2I, dB
 
 
 def kappa_rjl(params: EmaxParams, data: ObservationSet) -> np.ndarray:

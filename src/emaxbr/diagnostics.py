@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import FitResult, FitStatus, SolverConfig, StatusReason
+from .estimators import FitResult, FitStatus, SolverConfig, _instabilities
 from .model import ObservationSet
 
 __all__ = [
@@ -139,30 +139,13 @@ def stability_report(
     Rules: (i) the ED50 estimate escapes the plausible dose window
     (``> upper_mult * D_max`` or ``< lower_mult * D_min_pos``); (ii) a
     standard error is undefined (non-positive-definite covariance) or a
-    relative standard error exceeds the threshold.  Idempotent with respect
-    to the estimator's own classification: a fit the estimator marked
-    Unstable is flagged here for the same reason.
+    relative standard error exceeds the threshold.  The rules are the ones
+    the estimators classify with, so a fit the estimator marked Unstable is
+    flagged here for the same reason.
     """
     if fit.params is None:
         raise ValueError("stability_report requires a fit that carries params")
-    flags: list[str] = []
-    lo = config.ed50_lower_mult * data.dmin_positive()
-    hi = config.ed50_upper_mult * data.dmax()
-    ed50 = fit.params.ed50()
-    if ed50 > hi or ed50 < lo:
-        flags.append(
-            f"ED50 bound hit: estimate {ed50:.4g} outside [{lo:.4g}, {hi:.4g}]"
-        )
-    if fit.std_errors is None:
-        flags.append("undefined standard error")
-    else:
-        rel = fit.std_errors / np.abs(fit.params.as_array())
-        for name, r in zip(("e0", "emax", "log_ed50"), rel):
-            if r > config.rel_se_threshold:
-                flags.append(
-                    f"relative standard error exceeded for {name}: "
-                    f"{r:.3g} > {config.rel_se_threshold:g}"
-                )
+    flags = [text for _, text in _instabilities(fit.params, fit.std_errors, data, config)]
     if fit.status is FitStatus.Unstable and not flags:
         flags.append(f"estimator flagged instability: {fit.status_reason.value}")
     try:

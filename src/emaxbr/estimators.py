@@ -29,19 +29,22 @@ halving and stopping rules.  Each row goes through the same BLAS and LAPACK
 calls as the per-point loop that the batch replaced, so the start point is
 unchanged bit for bit and so are the study artifacts.  The estimating
 equations evaluate the derivative tensors once per call and derive the
-score, the information and the cumulants from them.
+score, the information and the per-arm quantities below from them.
 
-Exact Jacobians
----------------
-The penalized and modified scores share one form,
-``U_s + 0.5 * tr(I^{-1} A_s)``, with ``A = dI/dtheta`` for the MPLE and
-``A = P + kappa_{rj,l}`` for Firth.  Their Jacobians follow analytically
-from the derivative tensors an iterate already holds (Kosmidis & Firth
-2009): the score's Jacobian is the Hessian, and the adjustment's needs the
-second-order tensors of :func:`~emaxbr.cumulants._second_order_from`.  The
-MPLE ascent takes its curvature, and its covariance, from the exact
-penalized Hessian; the Firth root-finder takes each accepted point's
-residual and Jacobian from one tensor pass.
+Per-arm estimating equations
+----------------------------
+Firth's modified score, the Jeffreys-penalized score and the Cox-Snell bias
+are one adjustment seen three ways, each a sum over dose arms of
+``a_i = I^{-1} g_i``, the leverage ``lev_i = g_i' a_i`` and
+``trh_i = tr(I^{-1} h_i)`` (Firth 1993, Biometrika 80:27; Kosmidis & Firth
+2009, Biometrika 96:793); see :class:`_Point`.  The exact Jacobians
+differentiate those per-arm scalars, with
+``dI^{-1}/dtheta_t = -I^{-1} dI_t I^{-1}``, so no second-order cumulant
+tensor is formed.  The solvers do not use :mod:`emaxbr.cumulants`, which
+stays the public reference API for the cumulant tensors.  The MPLE ascent
+takes its curvature, and its covariance, from the exact penalized Hessian;
+the Firth root-finder takes each accepted point's residual and Jacobian
+from one tensor pass.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit, log_expit
 
-from .cumulants import CumulantBundle, _bundle_from, _second_order_from
 from .model import (
     DerivTensors,
     EmaxParams,
@@ -138,9 +140,6 @@ class SolverConfig:
         ``ed50 > upper_mult * D_max`` or ``ed50 < lower_mult * D_min_pos``.
     rel_se_threshold : float
         Instability bound on ``se / |estimate|`` per parameter.
-    seed : int
-        Seed reserved for stochastic restart heuristics (none are currently
-        used; fits are fully deterministic).
     """
 
     grad_tol: float = 1e-6
@@ -149,7 +148,6 @@ class SolverConfig:
     ed50_upper_mult: float = 10.0
     ed50_lower_mult: float = 0.02
     rel_se_threshold: float = 5.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.grad_tol <= 0 or self.rel_change_tol <= 0:
@@ -189,10 +187,30 @@ class FitResult:
             raise ValueError("Unstable results must carry params")
 
 
-def _phi_bounds(data: ObservationSet, config: SolverConfig) -> tuple[float, float]:
-    hi = np.log(config.ed50_upper_mult * data.dmax())
-    lo = np.log(config.ed50_lower_mult * data.dmin_positive())
-    return lo, hi
+def _instabilities(
+    params: EmaxParams, se: np.ndarray | None, data: ObservationSet, config: SolverConfig
+) -> list[tuple[StatusReason, str]]:
+    """The instability rules an estimate breaks, in order of precedence, with descriptions.
+
+    The ED50 estimate escapes ``[lower_mult * D_min_pos, upper_mult * D_max]``
+    (compared on the log scale); a standard error is undefined; a relative
+    standard error ``se / |estimate|`` exceeds the threshold (one entry per
+    parameter).
+    """
+    lo = config.ed50_lower_mult * data.dmin_positive()
+    hi = config.ed50_upper_mult * data.dmax()
+    found = []
+    if params.phi > np.log(hi) or params.phi < np.log(lo):
+        text = f"ED50 bound hit: estimate {params.ed50():.4g} outside [{lo:.4g}, {hi:.4g}]"
+        found.append((StatusReason.BOUND_HIT, text))
+    if se is None:
+        return found + [(StatusReason.UNDEFINED_SE, "undefined standard error")]
+    limit = config.rel_se_threshold
+    for name, r in zip(("e0", "emax", "log_ed50"), se / np.abs(params.as_array())):
+        if r > limit:
+            text = f"relative standard error exceeded for {name}: {r:.3g} > {limit:g}"
+            found.append((StatusReason.RELATIVE_SE_EXCEEDED, text))
+    return found
 
 
 def _classify(
@@ -206,50 +224,23 @@ def _classify(
 ) -> FitResult:
     """Apply the shared instability taxonomy to a finite estimate."""
     params = EmaxParams.from_array(theta)
-    lo, hi = _phi_bounds(data, config)
-    if params.phi > hi or params.phi < lo:
-        return FitResult(
-            kind=kind,
-            status=FitStatus.Unstable,
-            status_reason=StatusReason.BOUND_HIT,
-            iterations=iterations,
-            params=params,
-            covariance=cov,
-            std_errors=None if cov is None else _safe_se(cov),
-            base_mle=base_mle,
-        )
     se = None if cov is None else _safe_se(cov)
-    if se is None:
-        return FitResult(
-            kind=kind,
-            status=FitStatus.Unstable,
-            status_reason=StatusReason.UNDEFINED_SE,
-            iterations=iterations,
-            params=params,
-            covariance=None,
-            base_mle=base_mle,
-        )
-    if np.any(se / np.abs(theta) > config.rel_se_threshold):
-        return FitResult(
-            kind=kind,
-            status=FitStatus.Unstable,
-            status_reason=StatusReason.RELATIVE_SE_EXCEEDED,
-            iterations=iterations,
-            params=params,
-            covariance=cov,
-            std_errors=se,
-            base_mle=base_mle,
-        )
+    broken = _instabilities(params, se, data, config)
+    reason = broken[0][0] if broken else StatusReason.NONE
     return FitResult(
         kind=kind,
-        status=FitStatus.Converged,
-        status_reason=StatusReason.NONE,
+        status=FitStatus.Unstable if broken else FitStatus.Converged,
+        status_reason=reason,
         iterations=iterations,
         params=params,
-        covariance=cov,
+        covariance=None if reason is StatusReason.UNDEFINED_SE else cov,
         std_errors=se,
         base_mle=base_mle,
     )
+
+
+def _failed(kind: EstimatorKind, reason: StatusReason, iterations: int) -> FitResult:
+    return FitResult(kind, FitStatus.FailedToEstimate, reason, iterations)
 
 
 def _safe_se(cov: np.ndarray) -> np.ndarray | None:
@@ -267,37 +258,50 @@ def _inverse_or_none(a: np.ndarray) -> np.ndarray | None:
 
 
 class _Point(NamedTuple):
-    """What the estimating equations and their Jacobians need at one point."""
+    """Per-arm quantities at one point, with ``I^{-1}`` the (pseudo-)inverse information.
+
+    With the weights ``w = n pi (1-pi)`` and ``w3 = w (1-2 pi)``, the Firth
+    adjustment is ``0.5 sum_i (w3 lev_i + w trh_i) g_i``, the penalized one
+    ``0.5 sum_i w3 lev_i g_i + sum_i w ha_i`` and the Cox-Snell bias is
+    ``-I^{-1}`` times the Firth adjustment.
+    """
 
     tens: DerivTensors
-    inv: np.ndarray  # inverse (or pseudo-inverse) of the expected information
-    bundle: CumulantBundle
+    inv: np.ndarray
+    w: np.ndarray
+    w3: np.ndarray
+    a: np.ndarray  # rows I^{-1} g_i
+    lev: np.ndarray  # g_i' I^{-1} g_i
+    trh: np.ndarray  # tr(I^{-1} h_i)
+    ha: np.ndarray  # rows h_i a_i
 
 
 def _point(tens: DerivTensors, data: ObservationSet, invert) -> _Point:
-    return _Point(tens, invert(_information_from(tens, data)), _bundle_from(tens, data))
+    inv = invert(_information_from(tens, data))
+    w = data.n * tens.pi * (1.0 - tens.pi)
+    a = tens.g @ inv
+    lev = np.einsum("ir,ir->i", tens.g, a)
+    trh = np.einsum("rj,irj->i", inv, tens.h)
+    ha = np.einsum("irj,ij->ir", tens.h, a)
+    return _Point(tens, inv, w, w * (1.0 - 2.0 * tens.pi), a, lev, trh, ha)
 
 
-def _adjusted_score(pt: _Point, data: ObservationSet, adj: np.ndarray) -> np.ndarray:
-    """Score plus ``0.5 * tr(I^{-1} adj_s)`` for each slice ``s`` of ``adj``."""
-    return _score_from(pt.tens, data) + 0.5 * np.einsum("rj,rjl->l", pt.inv, adj)
+def _leverage_jacobian(pt: _Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobian of ``0.5 sum_i w3 lev_i g_i``, with ``d_info[t] = dI_t`` and ``dI_t a_i``.
 
-
-def _adjusted_jacobian(
-    pt: _Point, data: ObservationSet, adj: np.ndarray, d_adj: np.ndarray
-) -> np.ndarray:
-    """Exact Jacobian ``J[s,t]`` of :func:`_adjusted_score` in ``theta_t``.
-
-    ``d_adj[r,j,s,t]`` is the derivative of ``adj[r,j,s]``; with
-    ``dI^{-1}/dtheta_t = -I^{-1} dI_t I^{-1}``,
-    ``J[s,t] = H_st + 0.5 [sum I^{-1}_jr d_adj[r,j,s,t] - tr(I^{-1} dI_t I^{-1} adj_s)]``
-    (Kosmidis & Firth 2009, Biometrika 96:793).
+    ``dI_t = sum_i [w3 g_t g g' + w (h[:, t] g' + g h[:, t]')]``,
+    ``d lev_i / dtheta_t = 2 (h_i a_i)_t - a_i' dI_t a_i`` and ``w3`` has the
+    eta-derivative ``w (1 - 6 pi + 6 pi^2)``.  ``d_info_a[i, r, t] = (dI_t a_i)_r``.
     """
-    inv_di = np.einsum("ab,bct->act", pt.inv, pt.bundle.dI)
-    inv_adj = np.einsum("ab,bcs->acs", pt.inv, adj)
-    return _hessian_from(pt.tens, data) + 0.5 * (
-        np.einsum("jr,rjst->st", pt.inv, d_adj) - np.einsum("abt,bas->st", inv_di, inv_adj)
-    )
+    g, h, pi = pt.tens.g, pt.tens.h, pt.tens.pi
+    hg = np.einsum("i,irt,ij->trj", pt.w, h, g)
+    d_info = np.einsum("i,it,ir,ij->trj", pt.w3, g, g, g) + hg + hg.transpose(0, 2, 1)
+    d_info_a = np.einsum("trj,ij->irt", d_info, pt.a)
+    dlev = 2.0 * pt.ha - np.einsum("ir,irt->it", pt.a, d_info_a)
+    w2 = pt.w * (1.0 - 6.0 * pi * (1.0 - pi))
+    d_w3_lev = (w2 * pt.lev)[:, None] * g + pt.w3[:, None] * dlev
+    jac = 0.5 * (g.T @ d_w3_lev + np.einsum("i,ist->st", pt.w3 * pt.lev, h))
+    return jac, d_info, d_info_a
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +481,7 @@ def _solve_mle(work: _DatasetWork) -> FitResult:
             or abs(theta[0]) > _DIVERGENCE_BOUND
             or abs(theta[1]) > _DIVERGENCE_BOUND
         ):
-            return FitResult(
-                kind=EstimatorKind.MLE,
-                status=FitStatus.FailedToEstimate,
-                status_reason=StatusReason.NON_FINITE,
-                iterations=it,
-            )
+            return _failed(EstimatorKind.MLE, StatusReason.NON_FINITE, it)
         h = _hessian_from(tens, data)
         try:
             step = np.linalg.solve(h, -g)
@@ -502,33 +501,18 @@ def _solve_mle(work: _DatasetWork) -> FitResult:
         if not accepted:
             if np.max(np.abs(g)) <= 1e-4:
                 break
-            return FitResult(
-                kind=EstimatorKind.MLE,
-                status=FitStatus.FailedToEstimate,
-                status_reason=StatusReason.NON_CONVERGENCE,
-                iterations=it,
-            )
+            return _failed(EstimatorKind.MLE, StatusReason.NON_CONVERGENCE, it)
         rel_change = np.max(np.abs(cand - theta) / np.maximum(1.0, np.abs(theta)))
         theta, f, tens = cand, fc, cand_tens
         g = _score_from(tens, data)
         if rel_change <= config.rel_change_tol:
             break
     else:
-        return FitResult(
-            kind=EstimatorKind.MLE,
-            status=FitStatus.FailedToEstimate,
-            status_reason=StatusReason.NON_CONVERGENCE,
-            iterations=config.max_iter,
-        )
+        return _failed(EstimatorKind.MLE, StatusReason.NON_CONVERGENCE, config.max_iter)
     try:
         cov = invert_information(-_hessian_from(tens, data))
     except SingularInformation:
-        return FitResult(
-            kind=EstimatorKind.MLE,
-            status=FitStatus.FailedToEstimate,
-            status_reason=StatusReason.SINGULAR_INFORMATION,
-            iterations=it,
-        )
+        return _failed(EstimatorKind.MLE, StatusReason.SINGULAR_INFORMATION, it)
     return _classify(EstimatorKind.MLE, theta, cov, it, data, config)
 
 
@@ -537,15 +521,17 @@ def _solve_mle(work: _DatasetWork) -> FitResult:
 # ---------------------------------------------------------------------------
 
 def _bias_at(pt: _Point) -> np.ndarray:
-    return np.einsum("sr,jl,rjl->s", pt.inv, pt.inv, 0.5 * pt.bundle.k3 + pt.bundle.k2_1)
+    return -pt.inv @ _firth_adjustment(pt)
 
 
 def cox_snell_bias(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """First-order bias ``B_s = sum I^{-1}[s,r] I^{-1}[j,l] (k3/2 + k2_1)[r,j,l]``.
 
     ``I^{-1}`` here is the inverse of the expected information (the inverse
-    negative-information entries carry the cumulant signs already).  Scales
-    as O(1/n) in the total sample size.
+    negative-information entries carry the cumulant signs already).  Since
+    ``k3 = -(dI + k2_1)``, this is ``-I^{-1} A`` with ``A`` the adjustment
+    of Firth's modified score (Firth 1993, Biometrika 80:27), and that is
+    how it is computed.  Scales as O(1/n) in the total sample size.
     """
     return _bias_at(_point(deriv_tensors(params, data), data, invert_information))
 
@@ -564,20 +550,10 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
     try:
         bias = _bias_at(_point(deriv_tensors(base.params, data), data, np.linalg.inv))
     except np.linalg.LinAlgError:
-        return FitResult(
-            kind=EstimatorKind.CoxSnell,
-            status=FitStatus.FailedToEstimate,
-            status_reason=StatusReason.SINGULAR_INFORMATION,
-            iterations=base.iterations,
-        )
+        return _failed(EstimatorKind.CoxSnell, StatusReason.SINGULAR_INFORMATION, base.iterations)
     corrected = base.params.as_array() - bias
     if not np.all(np.isfinite(corrected)):
-        return FitResult(
-            kind=EstimatorKind.CoxSnell,
-            status=FitStatus.FailedToEstimate,
-            status_reason=StatusReason.NON_FINITE,
-            iterations=base.iterations,
-        )
+        return _failed(EstimatorKind.CoxSnell, StatusReason.NON_FINITE, base.iterations)
     return _classify(
         EstimatorKind.CoxSnell,
         corrected,
@@ -593,13 +569,30 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
 # Firth modified score
 # ---------------------------------------------------------------------------
 
+def _firth_adjustment(pt: _Point) -> np.ndarray:
+    return 0.5 * (pt.w3 * pt.lev + pt.w * pt.trh) @ pt.tens.g
+
+
 def _modified_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
-    return _adjusted_score(pt, data, pt.bundle.p + pt.bundle.k2_1)
+    return _score_from(pt.tens, data) + _firth_adjustment(pt)
 
 
 def _modified_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
-    return _adjusted_jacobian(
-        pt, data, pt.bundle.p + pt.bundle.k2_1, _second_order_from(pt.tens, data)[1]
+    """Exact Jacobian ``J[s, t]`` of :func:`_modified_score_at` in ``theta_t``.
+
+    Adds to the leverage part the derivative of ``0.5 sum_i w trh_i g_i``, where
+    ``d trh_i / dtheta_t = tr(I^{-1} t_i[:, :, t]) - tr(I^{-1} dI_t I^{-1} h_i)``.
+    """
+    g, h = pt.tens.g, pt.tens.h
+    lev_jac, d_info, _ = _leverage_jacobian(pt)
+    dtrh = np.einsum("rj,irjt->it", pt.inv, pt.tens.t) - np.einsum(
+        "trj,irj->it", pt.inv @ d_info @ pt.inv, h
+    )
+    d_w_trh = (pt.w3 * pt.trh)[:, None] * g + pt.w[:, None] * dtrh
+    return (
+        _hessian_from(pt.tens, data)
+        + lev_jac
+        + 0.5 * (g.T @ d_w_trh + np.einsum("i,ist->st", pt.w * pt.trh, h))
     )
 
 
@@ -726,12 +719,7 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
         if ok:
             break
     else:
-        return FitResult(
-            kind=EstimatorKind.Firth,
-            status=FitStatus.FailedToEstimate,
-            status_reason=StatusReason.NON_CONVERGENCE,
-            iterations=total_it,
-        )
+        return _failed(EstimatorKind.Firth, StatusReason.NON_CONVERGENCE, total_it)
     cov = _inverse_or_none(-_hessian_from(pt.tens, data))
     return _classify(EstimatorKind.Firth, theta, cov, total_it, data, config)
 
@@ -758,11 +746,25 @@ def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
 
 
 def _penalized_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
-    return _adjusted_score(pt, data, pt.bundle.dI)
+    return _score_from(pt.tens, data) + 0.5 * (pt.w3 * pt.lev) @ pt.tens.g + pt.w @ pt.ha
 
 
 def _penalized_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
-    return _adjusted_jacobian(pt, data, pt.bundle.dI, _second_order_from(pt.tens, data)[0])
+    """Exact Jacobian ``J[s, t]`` of :func:`_penalized_score_at` in ``theta_t``.
+
+    Adds to the leverage part the derivative of ``sum_i w h_i a_i``, where
+    ``d (h_i a_i)_s / dtheta_t = t_i[s, :, t] a_i + h_i[s] I^{-1} (h_i[:, t] - dI_t a_i)``.
+    """
+    g, h, w = pt.tens.g, pt.tens.h, pt.w
+    lev_jac, _, d_info_a = _leverage_jacobian(pt)
+    da = pt.inv @ (h - d_info_a)
+    return (
+        _hessian_from(pt.tens, data)
+        + lev_jac
+        + pt.ha.T @ (pt.w3[:, None] * g)
+        + np.einsum("i,isjt,ij->st", w, pt.tens.t, pt.a)
+        + np.einsum("i,isj,ijt->st", w, h, da)
+    )
 
 
 def penalized_score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -778,8 +780,9 @@ def penalized_hessian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """Exact Hessian of the penalized log-likelihood (Jacobian of :func:`penalized_score`).
 
     ``H_st + 0.5 * [tr(I^{-1} d2I/dtheta_s dtheta_t) - tr(I^{-1} dI_t I^{-1} dI_s)]``,
-    symmetric by construction.  Raises :class:`SingularInformation` where the
-    expected information is not invertible.
+    symmetric up to rounding; computed in per-arm form.  Raises
+    :class:`SingularInformation` where the expected information is not
+    invertible.
     """
     return _penalized_jacobian_at(
         _point(deriv_tensors(params, data), data, invert_information), data
@@ -831,22 +834,12 @@ def _solve_mple(work: _DatasetWork) -> FitResult:
         if not accepted:
             if np.max(np.abs(g)) <= 1e-4:
                 break
-            return FitResult(
-                kind=EstimatorKind.MPLE,
-                status=FitStatus.FailedToEstimate,
-                status_reason=StatusReason.NON_CONVERGENCE,
-                iterations=it,
-            )
+            return _failed(EstimatorKind.MPLE, StatusReason.NON_CONVERGENCE, it)
         theta, f = cand, fc
         pt = _point(cand_tens, data, np.linalg.pinv)
         g = _penalized_score_at(pt, data)
     else:
-        return FitResult(
-            kind=EstimatorKind.MPLE,
-            status=FitStatus.FailedToEstimate,
-            status_reason=StatusReason.NON_CONVERGENCE,
-            iterations=config.max_iter,
-        )
+        return _failed(EstimatorKind.MPLE, StatusReason.NON_CONVERGENCE, config.max_iter)
     cov = _inverse_or_none(-_penalized_jacobian_at(pt, data))
     return _classify(EstimatorKind.MPLE, theta, cov, it, data, config)
 

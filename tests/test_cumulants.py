@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emaxbr import (
+    DerivTensors,
     EmaxParams,
     ObservationSet,
     cumulant_bundle,
@@ -17,8 +18,6 @@ from emaxbr import (
     p_tensor,
     score,
 )
-
-from emaxbr.cumulants import _second_order_from
 
 from conftest import enumerate_outcomes, random_dataset, random_params, well_conditioned_point
 
@@ -41,6 +40,51 @@ SMALL_DESIGNS = [
         ObservationSet(np.array([0.0, 5.0]), np.array([5.0, 7.0]), np.array([2.0, 4.0])),
     ),
 ]
+
+
+def _second_order_from(tens: DerivTensors, data: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-form oracle: ``d2I[r,j,s,t] = d dI[r,j,s] / dtheta_t`` and ``dB[r,j,s,t]``.
+
+    ``B = p + k2_1`` is the modified-score adjustment tensor.  Differentiating
+    the weights once more gives ``w2 = w (1 - 6 pi + 6 pi^2)``; with
+    ``w1 = w (1-2 pi)`` and sums over arms:
+
+    * ``d2I = sum_i [w2 g_r g_j g_s g_t
+      + w1 (h_st g_r g_j + h_rt g_j g_s + h_jt g_r g_s + h_rs g_j g_t + h_js g_r g_t)
+      + w (t_rst g_j + g_r t_jst + h_rs h_jt + h_rt h_js)]``
+    * ``dB  = sum_i [w2 g_r g_j g_s g_t
+      + w1 (h_rt g_j g_s + h_jt g_r g_s + h_st g_r g_j + h_rj g_s g_t)
+      + w (t_rjt g_s + h_rj h_st)]``
+
+    The estimators build their Jacobians from per-arm quantities instead;
+    these tensors are the reference those are checked against.
+    """
+    g, h, t = tens.g, tens.h, tens.t
+    w = data.n * tens.pi * (1.0 - tens.pi)
+    w1 = w * (1.0 - 2.0 * tens.pi)
+    w2 = w * (1.0 - 6.0 * tens.pi * (1.0 - tens.pi))
+    # Every term is an index permutation of one of four arm sums; each
+    # transpose below is marked with the term it yields at [r, j, s, t].
+    hgg = np.einsum("i,iab,ic,id->abcd", w1, h, g, g)  # h_ab g_c g_d
+    tg = np.einsum("i,iabc,id->abcd", w, t, g)  # t_abc g_d
+    hh = np.einsum("i,iab,icd->abcd", w, h, h)  # h_ab h_cd
+    shared = (
+        np.einsum("i,ir,ij,is,it->rjst", w2, g, g, g, g)
+        + hgg.transpose(2, 3, 0, 1)  # h_st g_r g_j
+        + hgg.transpose(0, 2, 3, 1)  # h_rt g_j g_s
+        + hgg.transpose(2, 0, 3, 1)  # h_jt g_r g_s
+    )
+    d2I = (
+        shared
+        + hgg.transpose(0, 2, 1, 3)  # h_rs g_j g_t
+        + hgg.transpose(2, 0, 1, 3)  # h_js g_r g_t
+        + tg.transpose(0, 3, 1, 2)  # t_rst g_j
+        + tg.transpose(3, 0, 1, 2)  # g_r t_jst
+        + hh.transpose(0, 2, 1, 3)  # h_rs h_jt
+        + hh.transpose(0, 2, 3, 1)  # h_rt h_js
+    )
+    dB = shared + hgg + tg.transpose(0, 1, 3, 2) + hh  # ... + h_rj g_s g_t + t_rjt g_s + h_rj h_st
+    return d2I, dB
 
 
 def _richardson_slice(func, params: EmaxParams, s: int, h: float = 1e-3) -> np.ndarray:

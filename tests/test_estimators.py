@@ -12,7 +12,9 @@ from emaxbr import (
     SolverConfig,
     StatusReason,
     cox_snell_bias,
+    cumulant_bundle,
     deriv_tensors,
+    expected_information,
     firth_modified_score,
     fit,
     fit_all,
@@ -20,6 +22,7 @@ from emaxbr import (
     fit_firth,
     fit_mle,
     fit_mple,
+    hessian,
     invert_information,
     log_likelihood,
     penalized_hessian,
@@ -32,7 +35,7 @@ from emaxbr import (
 
 from emaxbr import estimators
 from conftest import random_dataset, random_params, well_conditioned_point
-from test_cumulants import _richardson_slice
+from test_cumulants import _richardson_slice, _second_order_from
 from test_start_grid import datasets
 
 
@@ -150,8 +153,6 @@ class TestCoxSnell:
             )
 
     def test_bias_matches_explicit_contraction(self, rng):
-        from emaxbr import cumulant_bundle, expected_information
-
         p = random_params(rng)
         d = random_dataset(rng)
         inv = np.linalg.inv(expected_information(p, d))
@@ -165,6 +166,15 @@ class TestCoxSnell:
                             inv[s, r] * inv[j, l] * (0.5 * b.k3[r, j, l] + b.k2_1[r, j, l])
                         )
         np.testing.assert_allclose(cox_snell_bias(p, d), target, rtol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_bias_is_minus_inverse_information_times_firth_adjustment(self, seed):
+        # Firth (1993): the modified score's adjustment A gives b = -I^{-1} A.
+        p, d = well_conditioned_point(seed)
+        adjustment = firth_modified_score(p, d) - score(p, d)
+        target = -np.linalg.inv(expected_information(p, d)) @ adjustment
+        np.testing.assert_allclose(cox_snell_bias(p, d), target, rtol=1e-8, atol=1e-12)
 
     def test_corrected_estimate_is_mle_minus_bias(self):
         d = _simulate(TRUTH, DOSES5, 200, seed=5)
@@ -253,8 +263,6 @@ class TestMPLE:
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-5)
 
     def test_penalty_equals_half_logdet_information(self, rng):
-        from emaxbr import expected_information
-
         p = random_params(rng)
         d = random_dataset(rng)
         _, logdet = np.linalg.slogdet(expected_information(p, d))
@@ -311,6 +319,27 @@ def _firth_jacobian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     return estimators._modified_jacobian_at(pt, data)
 
 
+def _tensor_jacobians(params: EmaxParams, data: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized and modified-score Jacobians in tensor form (Kosmidis & Firth 2009).
+
+    Both scores are ``U_s + 0.5 tr(I^{-1} adj_s)``, with ``adj = dI`` for the
+    MPLE and ``adj = P + kappa_{rj,l}`` for Firth, so
+    ``J[s,t] = H_st + 0.5 [sum I^{-1}_jr d_adj[r,j,s,t] - tr(I^{-1} dI_t I^{-1} adj_s)]``.
+    """
+    inv = np.linalg.inv(expected_information(params, data))
+    b = cumulant_bundle(params, data)
+    d2I, dB = _second_order_from(deriv_tensors(params, data), data)
+    inv_di = np.einsum("ab,bct->act", inv, b.dI)
+
+    def jacobian(adj: np.ndarray, d_adj: np.ndarray) -> np.ndarray:
+        inv_adj = np.einsum("ab,bcs->acs", inv, adj)
+        return hessian(params, data) + 0.5 * (
+            np.einsum("jr,rjst->st", inv, d_adj) - np.einsum("abt,bas->st", inv_di, inv_adj)
+        )
+
+    return jacobian(b.dI, d2I), jacobian(b.p + b.k2_1, dB)
+
+
 class TestJacobians:
     """The exact Jacobians the MPLE ascent and the Firth root use."""
 
@@ -327,6 +356,14 @@ class TestJacobians:
         p, d = well_conditioned_point(seed)
         fd = _fd_jacobian(lambda q: firth_modified_score(q, d), p)
         np.testing.assert_allclose(_firth_jacobian(p, d), fd, rtol=1e-6, atol=1e-6)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_per_arm_jacobians_match_tensor_form(self, seed):
+        p, d = well_conditioned_point(seed)
+        penalized, modified = _tensor_jacobians(p, d)
+        np.testing.assert_allclose(penalized_hessian(p, d), penalized, rtol=1e-10)
+        np.testing.assert_allclose(_firth_jacobian(p, d), modified, rtol=1e-10)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
