@@ -44,6 +44,8 @@ from .estimators import (
     penalized_score,
     penalized_hessian,
     fit_mple,
+    QuadraticLogitFit,
+    fit_quadratic_logit,
     fit,
     fit_all,
     shared_work,
@@ -71,14 +73,12 @@ from .simharness import (
     AUDIT_COLUMNS,
     AuditRow,
     CellMetrics,
-    QuadraticLogitFit,
     SimStudy,
     SimMetrics,
     ShapeUnreachable,
     generate_dataset,
     run_study,
     run_shape_conditioned_study,
-    fit_quadratic_logit,
     emit_table,
     parse_table,
     audit_csv,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import FitResult, FitStatus, SolverConfig, _instabilities
+from .estimators import FitResult, FitStatus, SolverConfig, instability_rules
 from .model import ObservationSet
 
 __all__ = [
@@ -145,7 +145,7 @@ def stability_report(
     """
     if fit.params is None:
         raise ValueError("stability_report requires a fit that carries params")
-    flags = [text for _, text in _instabilities(fit.params, fit.std_errors, data, config)]
+    flags = [text for _, text in instability_rules(fit.params, fit.std_errors, data, config)]
     if fit.status is FitStatus.Unstable and not flags:
         flags.append(f"estimator flagged instability: {fit.status_reason.value}")
     try:

@@ -1,6 +1,6 @@
 """The four fitting procedures for the binary Emax model.
 
-* ``fit_mle``       — damped Newton ascent on the log-likelihood.
+* ``fit_mle``       — ascent on the log-likelihood.
 * ``fit_cox_snell`` — analytic first-order bias subtraction after the MLE.
 * ``fit_firth``     — root-finding on the modified score equations (which
   are not the gradient of any objective, so the solve is a globalized
@@ -10,6 +10,17 @@
 
 All four share deterministic starting values, iteration control via
 :class:`SolverConfig`, and a common convergence / instability taxonomy.
+
+One ascent core
+---------------
+The MLE, the MPLE and the quadratic-logit sensitivity fit
+(:func:`fit_quadratic_logit`) maximize an objective through one
+modified-Newton core, :func:`_ascend`: the Hessian's
+eigenvalues are floored just below zero so every step ascends, the step
+norm is capped, an Armijo line search halves the step, and the ascent
+stops on the max-abs gradient.  Each objective supplies its value, its
+gradient and Hessian, and its own test for running off to infinity; the
+MPLE has none, because the Jeffreys penalty keeps its maximizer finite.
 
 Shared per-dataset work
 -----------------------
@@ -64,12 +75,12 @@ from .model import (
     EmaxParams,
     ObservationSet,
     SingularInformation,
-    _hessian_from,
-    _information_from,
-    _log_likelihood_from,
-    _score_from,
     deriv_tensors,
+    hessian_from,
+    information_from,
     invert_information,
+    log_likelihood_from,
+    score_from,
 )
 
 __all__ = [
@@ -78,6 +89,7 @@ __all__ = [
     "FitStatus",
     "StatusReason",
     "FitResult",
+    "instability_rules",
     "starting_values",
     "fit_mle",
     "cox_snell_bias",
@@ -88,6 +100,8 @@ __all__ = [
     "penalized_score",
     "penalized_hessian",
     "fit_mple",
+    "QuadraticLogitFit",
+    "fit_quadratic_logit",
     "fit",
     "fit_all",
     "shared_work",
@@ -131,8 +145,6 @@ class SolverConfig:
     ----------
     grad_tol : float
         Stationarity tolerance on the max-abs estimating equation.
-    rel_change_tol : float
-        Relative parameter-change tolerance for declaring convergence.
     max_iter : int
         Iteration cap for every solver.
     ed50_upper_mult, ed50_lower_mult : float
@@ -143,15 +155,14 @@ class SolverConfig:
     """
 
     grad_tol: float = 1e-6
-    rel_change_tol: float = 1e-8
     max_iter: int = 2000
     ed50_upper_mult: float = 10.0
     ed50_lower_mult: float = 0.02
     rel_se_threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.grad_tol <= 0 or self.rel_change_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.ed50_upper_mult <= 0 or self.ed50_lower_mult <= 0:
@@ -187,15 +198,18 @@ class FitResult:
             raise ValueError("Unstable results must carry params")
 
 
-def _instabilities(
+def instability_rules(
     params: EmaxParams, se: np.ndarray | None, data: ObservationSet, config: SolverConfig
 ) -> list[tuple[StatusReason, str]]:
-    """The instability rules an estimate breaks, in order of precedence, with descriptions.
+    """The instability rules an estimate breaks, in order of precedence.
 
-    The ED50 estimate escapes ``[lower_mult * D_min_pos, upper_mult * D_max]``
-    (compared on the log scale); a standard error is undefined; a relative
-    standard error ``se / |estimate|`` exceeds the threshold (one entry per
-    parameter).
+    Each entry is a ``(reason, description)`` pair.  The rules, in order:
+    the ED50 estimate escapes ``[lower_mult * D_min_pos, upper_mult * D_max]``
+    (compared on the log scale); a standard error is undefined (``se`` is
+    None); a relative standard error ``se / |estimate|`` exceeds the
+    threshold (one entry per parameter).  An empty list means the estimate
+    is stable.  The estimators classify their fits by the first entry, and
+    :func:`emaxbr.diagnostics.stability_report` lists every description.
     """
     lo = config.ed50_lower_mult * data.dmin_positive()
     hi = config.ed50_upper_mult * data.dmax()
@@ -225,7 +239,7 @@ def _classify(
     """Apply the shared instability taxonomy to a finite estimate."""
     params = EmaxParams.from_array(theta)
     se = None if cov is None else _safe_se(cov)
-    broken = _instabilities(params, se, data, config)
+    broken = instability_rules(params, se, data, config)
     reason = broken[0][0] if broken else StatusReason.NONE
     return FitResult(
         kind=kind,
@@ -277,7 +291,7 @@ class _Point(NamedTuple):
 
 
 def _point(tens: DerivTensors, data: ObservationSet, invert) -> _Point:
-    inv = invert(_information_from(tens, data))
+    inv = invert(information_from(tens, data))
     w = data.n * tens.pi * (1.0 - tens.pi)
     a = tens.g @ inv
     lev = np.einsum("ir,ir->i", tens.g, a)
@@ -451,69 +465,108 @@ def _grid_fits(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# ascent core
+# ---------------------------------------------------------------------------
+
+class _Ascent(NamedTuple):
+    """Where :func:`_ascend` stopped; ``reason`` is ``NONE`` at a maximizer."""
+
+    theta: np.ndarray
+    state: object
+    hessian: np.ndarray
+    iterations: int
+    reason: StatusReason
+
+
+def _ascend(theta0: np.ndarray, value, derivs, diverged, config: SolverConfig) -> _Ascent:
+    """Maximize an objective by modified-Newton ascent with an Armijo line search.
+
+    ``value(theta) -> (f, state)`` gives the objective at a trial point (a
+    non-finite ``f`` marks the point out of bounds); ``derivs(state) ->
+    (gradient, Hessian)`` is called only at accepted points; ``diverged(theta)``
+    is the objective's own test for running off to infinity.
+
+    Each iterate floors the Hessian's eigenvalues at
+    ``-1e-8 * max(1, |lambda|_max)``, so the step ascends even where the
+    curvature is indefinite, caps the step norm at 5, and halves the step up
+    to 40 times until the Armijo condition with constant 1e-4 holds.  The
+    ascent stops at a maximizer when ``max|g| <= grad_tol``, or when the line
+    search fails with ``max|g| <= 1e-4``; it ends ``NON_CONVERGENCE`` when
+    the line search fails otherwise or after ``max_iter`` iterates, and
+    ``NON_FINITE`` when ``diverged`` holds or ``theta``, the gradient or the
+    Hessian is not finite.  The returned Hessian is the one at the returned
+    point.
+    """
+    theta = theta0
+    f, state = value(theta)
+    g, hess = derivs(state)
+    it = 0
+    while it < config.max_iter:
+        it += 1
+        if not all(np.isfinite(v).all() for v in (theta, g, hess)):
+            return _Ascent(theta, state, hess, it, StatusReason.NON_FINITE)
+        if np.max(np.abs(g)) <= config.grad_tol:
+            return _Ascent(theta, state, hess, it, StatusReason.NONE)
+        if diverged(theta):
+            return _Ascent(theta, state, hess, it, StatusReason.NON_FINITE)
+        eigval, eigvec = np.linalg.eigh(hess)
+        floor = -1e-8 * max(1.0, float(np.max(np.abs(eigval))))
+        step = -eigvec @ ((eigvec.T @ g) / np.minimum(eigval, floor))
+        norm = float(np.linalg.norm(step))
+        if norm > 5.0:
+            step *= 5.0 / norm
+        lam = 1.0
+        for _ in range(40):
+            cand = theta + lam * step
+            fc, cand_state = value(cand)
+            if np.isfinite(fc) and fc > f + 1e-4 * lam * float(step @ g):
+                break
+            lam /= 2.0
+        else:
+            stalled = np.max(np.abs(g)) <= 1e-4
+            reason = StatusReason.NONE if stalled else StatusReason.NON_CONVERGENCE
+            return _Ascent(theta, state, hess, it, reason)
+        theta, f, state = cand, fc, cand_state
+        g, hess = derivs(state)
+    return _Ascent(theta, state, hess, it, StatusReason.NON_CONVERGENCE)
+
+
+# ---------------------------------------------------------------------------
 # MLE
 # ---------------------------------------------------------------------------
 
 def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
-    """Maximum likelihood by damped Newton ascent with step-halving.
+    """Maximum likelihood through the shared ascent core (see the module docstring).
 
-    Non-ascent Newton directions fall back to scaled steepest ascent.
     Iterates drifting past the divergence bound on ``|e0|`` or ``|emax|``
     (logit magnitudes at which arm probabilities are numerically 0/1) are
-    declared failures, as is a singular final curvature.
+    declared failures, as is a singular final curvature.  The covariance
+    is the inverse of the negative Hessian at the maximizer.
     """
     return _work(data, config).mle()
 
 
 def _solve_mle(work: _DatasetWork) -> FitResult:
     data, config = work.data, work.config
-    theta = work.start()
-    tens = deriv_tensors(EmaxParams.from_array(theta), data)
-    f = _log_likelihood_from(tens, data)
-    g = _score_from(tens, data)
-    it = 0
-    while it < config.max_iter:
-        it += 1
-        if np.max(np.abs(g)) <= config.grad_tol:
-            break
-        if (
-            not np.all(np.isfinite(theta))
-            or abs(theta[0]) > _DIVERGENCE_BOUND
-            or abs(theta[1]) > _DIVERGENCE_BOUND
-        ):
-            return _failed(EstimatorKind.MLE, StatusReason.NON_FINITE, it)
-        h = _hessian_from(tens, data)
-        try:
-            step = np.linalg.solve(h, -g)
-            if step @ g <= 0.0:
-                step = g / max(1.0, float(np.linalg.norm(g)))
-        except np.linalg.LinAlgError:
-            step = g / max(1.0, float(np.linalg.norm(g)))
-        lam, accepted = 1.0, False
-        for _ in range(30):
-            cand = theta + lam * step
-            cand_tens = deriv_tensors(EmaxParams.from_array(cand), data)
-            fc = _log_likelihood_from(cand_tens, data)
-            if np.isfinite(fc) and fc > f:
-                accepted = True
-                break
-            lam /= 2.0
-        if not accepted:
-            if np.max(np.abs(g)) <= 1e-4:
-                break
-            return _failed(EstimatorKind.MLE, StatusReason.NON_CONVERGENCE, it)
-        rel_change = np.max(np.abs(cand - theta) / np.maximum(1.0, np.abs(theta)))
-        theta, f, tens = cand, fc, cand_tens
-        g = _score_from(tens, data)
-        if rel_change <= config.rel_change_tol:
-            break
-    else:
-        return _failed(EstimatorKind.MLE, StatusReason.NON_CONVERGENCE, config.max_iter)
+
+    def value(theta):
+        tens = deriv_tensors(EmaxParams.from_array(theta), data)
+        return log_likelihood_from(tens, data), tens
+
+    def derivs(tens):
+        return score_from(tens, data), hessian_from(tens, data)
+
+    def diverged(theta):
+        return abs(theta[0]) > _DIVERGENCE_BOUND or abs(theta[1]) > _DIVERGENCE_BOUND
+
+    run = _ascend(work.start(), value, derivs, diverged, config)
+    if run.reason is not StatusReason.NONE:
+        return _failed(EstimatorKind.MLE, run.reason, run.iterations)
     try:
-        cov = invert_information(-_hessian_from(tens, data))
+        cov = invert_information(-run.hessian)
     except SingularInformation:
-        return _failed(EstimatorKind.MLE, StatusReason.SINGULAR_INFORMATION, it)
-    return _classify(EstimatorKind.MLE, theta, cov, it, data, config)
+        return _failed(EstimatorKind.MLE, StatusReason.SINGULAR_INFORMATION, run.iterations)
+    return _classify(EstimatorKind.MLE, run.theta, cov, run.iterations, data, config)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +627,7 @@ def _firth_adjustment(pt: _Point) -> np.ndarray:
 
 
 def _modified_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
-    return _score_from(pt.tens, data) + _firth_adjustment(pt)
+    return score_from(pt.tens, data) + _firth_adjustment(pt)
 
 
 def _modified_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
@@ -590,7 +643,7 @@ def _modified_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
     )
     d_w_trh = (pt.w3 * pt.trh)[:, None] * g + pt.w[:, None] * dtrh
     return (
-        _hessian_from(pt.tens, data)
+        hessian_from(pt.tens, data)
         + lev_jac
         + 0.5 * (g.T @ d_w_trh + np.einsum("i,ist->st", pt.w * pt.trh, h))
     )
@@ -720,7 +773,7 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
             break
     else:
         return _failed(EstimatorKind.Firth, StatusReason.NON_CONVERGENCE, total_it)
-    cov = _inverse_or_none(-_hessian_from(pt.tens, data))
+    cov = _inverse_or_none(-hessian_from(pt.tens, data))
     return _classify(EstimatorKind.Firth, theta, cov, total_it, data, config)
 
 
@@ -729,10 +782,10 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
 # ---------------------------------------------------------------------------
 
 def _penalized_loglik_from(tens: DerivTensors, data: ObservationSet) -> float:
-    sign, logdet = np.linalg.slogdet(_information_from(tens, data))
+    sign, logdet = np.linalg.slogdet(information_from(tens, data))
     if sign <= 0:
         return -np.inf
-    return _log_likelihood_from(tens, data) + 0.5 * logdet
+    return log_likelihood_from(tens, data) + 0.5 * logdet
 
 
 def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
@@ -746,7 +799,7 @@ def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
 
 
 def _penalized_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
-    return _score_from(pt.tens, data) + 0.5 * (pt.w3 * pt.lev) @ pt.tens.g + pt.w @ pt.ha
+    return score_from(pt.tens, data) + 0.5 * (pt.w3 * pt.lev) @ pt.tens.g + pt.w @ pt.ha
 
 
 def _penalized_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
@@ -759,7 +812,7 @@ def _penalized_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
     lev_jac, _, d_info_a = _leverage_jacobian(pt)
     da = pt.inv @ (h - d_info_a)
     return (
-        _hessian_from(pt.tens, data)
+        hessian_from(pt.tens, data)
         + lev_jac
         + pt.ha.T @ (pt.w3[:, None] * g)
         + np.einsum("i,isjt,ij->st", w, pt.tens.t, pt.a)
@@ -790,58 +843,97 @@ def penalized_hessian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
 
 
 def fit_mple(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
-    """Maximize the Jeffreys-penalized likelihood.
+    """Maximize the Jeffreys-penalized likelihood through the shared ascent core.
 
-    Modified-Newton ascent: the exact penalized Hessian has its
-    eigenvalues floored away from zero on the negative side so the search
-    direction is always a proper ascent direction, which keeps progress
-    brisk along the curved ridges that one-sided event patterns create.
-    Covariance is the exact inverse of the negative penalized Hessian at
-    the maximizer.
+    The core's eigenvalue floor on the exact penalized Hessian keeps every
+    step an ascent direction, which keeps progress brisk along the curved
+    ridges that one-sided event patterns create.  No divergence test
+    applies: the penalty keeps the maximizer finite.  Covariance is the
+    exact inverse of the negative penalized Hessian at the maximizer.
     """
     return _work(data, config).mple()
 
 
 def _solve_mple(work: _DatasetWork) -> FitResult:
     data, config = work.data, work.config
-    theta = work.start()
-    tens = deriv_tensors(EmaxParams.from_array(theta), data)
-    f = _penalized_loglik_from(tens, data)
-    pt = _point(tens, data, np.linalg.pinv)
-    g = _penalized_score_at(pt, data)
-    it = 0
-    while it < config.max_iter:
-        it += 1
-        if np.max(np.abs(g)) <= config.grad_tol:
-            break
-        curv = _penalized_jacobian_at(pt, data)
-        eigval, eigvec = np.linalg.eigh(curv)
-        floor = -1e-8 * max(1.0, float(np.max(np.abs(eigval))))
-        eigval = np.minimum(eigval, floor)
-        step = -eigvec @ ((eigvec.T @ g) / eigval)
-        norm = float(np.linalg.norm(step))
-        if norm > 5.0:
-            step *= 5.0 / norm
-        lam, accepted = 1.0, False
-        for _ in range(40):
-            cand = theta + lam * step
-            cand_tens = deriv_tensors(EmaxParams.from_array(cand), data)
-            fc = _penalized_loglik_from(cand_tens, data)
-            if np.isfinite(fc) and fc > f + 1e-4 * lam * float(step @ g):
-                accepted = True
-                break
-            lam /= 2.0
-        if not accepted:
-            if np.max(np.abs(g)) <= 1e-4:
-                break
-            return _failed(EstimatorKind.MPLE, StatusReason.NON_CONVERGENCE, it)
-        theta, f = cand, fc
-        pt = _point(cand_tens, data, np.linalg.pinv)
-        g = _penalized_score_at(pt, data)
-    else:
-        return _failed(EstimatorKind.MPLE, StatusReason.NON_CONVERGENCE, config.max_iter)
-    cov = _inverse_or_none(-_penalized_jacobian_at(pt, data))
-    return _classify(EstimatorKind.MPLE, theta, cov, it, data, config)
+
+    def value(theta):
+        tens = deriv_tensors(EmaxParams.from_array(theta), data)
+        return _penalized_loglik_from(tens, data), tens
+
+    def derivs(tens):
+        pt = _point(tens, data, np.linalg.pinv)
+        return _penalized_score_at(pt, data), _penalized_jacobian_at(pt, data)
+
+    run = _ascend(work.start(), value, derivs, lambda theta: False, config)
+    if run.reason is not StatusReason.NONE:
+        return _failed(EstimatorKind.MPLE, run.reason, run.iterations)
+    cov = _inverse_or_none(-run.hessian)
+    return _classify(EstimatorKind.MPLE, run.theta, cov, run.iterations, data, config)
+
+
+# ---------------------------------------------------------------------------
+# quadratic-logit sensitivity fit
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QuadraticLogitFit:
+    """Logistic fit with linear predictor ``b0 + b1 d + b2 d^2``.
+
+    ``peak_dose`` is the vertex ``-b1 / (2 b2)``, reported only when the
+    fitted curvature is negative (a genuine interior maximum).
+    """
+
+    status: FitStatus
+    status_reason: StatusReason
+    coefs: np.ndarray | None
+    covariance: np.ndarray | None
+    peak_dose: float | None
+    iterations: int
+
+
+def fit_quadratic_logit(
+    data: ObservationSet, config: SolverConfig = SolverConfig()
+) -> QuadraticLogitFit:
+    """Maximum-likelihood quadratic-logit fit on ``(1, d, d^2)``.
+
+    A sensitivity model for non-monotone samples.  The fit runs through the
+    shared ascent core from zero coefficients, on doses scaled to at most 1,
+    and shares the failure taxonomy of the main estimators: a linear
+    predictor beyond 30 in magnitude, where separation drives the
+    coefficients, is reported as FailedToEstimate.
+    """
+    if len(data.doses) < 3:
+        raise ValueError("need at least 3 distinct doses")
+    d = data.doses
+    scale = max(1.0, d.max())
+    x = np.column_stack([np.ones_like(d), d / scale, (d / scale) ** 2])
+
+    def value(b):
+        return float(_loglik_rows((x @ b)[None, :], data)[0]), b
+
+    def derivs(b):
+        pi = expit(x @ b)
+        w = data.n * pi * (1.0 - pi)
+        return x.T @ (data.events - data.n * pi), -(x.T @ (w[:, None] * x))
+
+    run = _ascend(np.zeros(3), value, derivs, lambda b: np.max(np.abs(x @ b)) > 30.0, config)
+    reason = run.reason
+    if reason is StatusReason.NONE:
+        cov_scaled = _inverse_or_none(-run.hessian)
+        if cov_scaled is None:
+            reason = StatusReason.SINGULAR_INFORMATION
+    if reason is not StatusReason.NONE:
+        return QuadraticLogitFit(
+            FitStatus.FailedToEstimate, reason, None, None, None, run.iterations
+        )
+    # Undo the dose rescaling used for conditioning.
+    s = np.diag([1.0, 1.0 / scale, 1.0 / scale**2])
+    coefs = s @ run.theta
+    peak = float(-coefs[1] / (2.0 * coefs[2])) if coefs[2] < 0 else None
+    return QuadraticLogitFit(
+        FitStatus.Converged, StatusReason.NONE, coefs, s @ cov_scaled @ s, peak, run.iterations
+    )
 
 
 _FITTERS = {

@@ -29,6 +29,10 @@ __all__ = [
     "score",
     "hessian",
     "expected_information",
+    "log_likelihood_from",
+    "score_from",
+    "hessian_from",
+    "information_from",
     "SingularInformation",
     "invert_information",
 ]
@@ -243,12 +247,12 @@ def deriv_tensors(params: EmaxParams, data: ObservationSet) -> DerivTensors:
 
 def log_likelihood(params: EmaxParams, data: ObservationSet) -> float:
     """Bernoulli log-likelihood, evaluated stably via ``log_expit``."""
-    return _log_likelihood_from(deriv_tensors(params, data), data)
+    return log_likelihood_from(deriv_tensors(params, data), data)
 
 
 def score(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     """Score vector ``U_s = sum_i (y_i - pi_i) g_{i,s}``."""
-    return _score_from(deriv_tensors(params, data), data)
+    return score_from(deriv_tensors(params, data), data)
 
 
 def hessian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -257,7 +261,7 @@ def hessian(params: EmaxParams, data: ObservationSet) -> np.ndarray:
     ``H_{rj} = sum_i [-pi(1-pi) g_r g_j + (y - pi) h_{rj}]`` aggregated over
     arms with binomial weights.
     """
-    return _hessian_from(deriv_tensors(params, data), data)
+    return hessian_from(deriv_tensors(params, data), data)
 
 
 def expected_information(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -265,7 +269,7 @@ def expected_information(params: EmaxParams, data: ObservationSet) -> np.ndarray
 
     Positive semidefinite and independent of the observed events.
     """
-    return _information_from(deriv_tensors(params, data), data)
+    return information_from(deriv_tensors(params, data), data)
 
 
 def invert_information(a: np.ndarray) -> np.ndarray:
@@ -281,10 +285,12 @@ def invert_information(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-# The from-tensors forms below let a caller that needs several of these
-# quantities at one point evaluate ``deriv_tensors`` once.
+# The from-tensors forms below take the tensors of :func:`deriv_tensors`, so
+# a caller that needs several of these quantities at one point evaluates
+# ``deriv_tensors`` once; each public form above is one of them.
 
-def _log_likelihood_from(tens: DerivTensors, data: ObservationSet) -> float:
+def log_likelihood_from(tens: DerivTensors, data: ObservationSet) -> float:
+    """:func:`log_likelihood` from the tensors at the point."""
     return float(
         np.sum(
             data.events * log_expit(tens.eta)
@@ -293,11 +299,13 @@ def _log_likelihood_from(tens: DerivTensors, data: ObservationSet) -> float:
     )
 
 
-def _score_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+def score_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+    """:func:`score` from the tensors at the point."""
     return (data.events - data.n * tens.pi) @ tens.g
 
 
-def _hessian_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+def hessian_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+    """:func:`hessian` from the tensors at the point."""
     w = data.n * tens.pi * (1.0 - tens.pi)
     resid = data.events - data.n * tens.pi
     return -np.einsum("i,ir,ij->rj", w, tens.g, tens.g) + np.einsum(
@@ -305,6 +313,7 @@ def _hessian_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
     )
 
 
-def _information_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+def information_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
+    """:func:`expected_information` from the tensors at the point."""
     w = data.n * tens.pi * (1.0 - tens.pi)
     return np.einsum("i,ir,ij->rj", w, tens.g, tens.g)

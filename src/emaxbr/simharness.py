@@ -27,9 +27,11 @@ from .diagnostics import Shape, classify_shape
 from .estimators import (
     EstimatorKind,
     FitStatus,
+    QuadraticLogitFit,
     SolverConfig,
     StatusReason,
     fit,
+    fit_quadratic_logit,
     shared_work,
 )
 from .model import EmaxParams, ObservationSet, predict_prob
@@ -301,111 +303,6 @@ def run_shape_conditioned_study(
 def _fit_kept(args) -> list[AuditRow]:
     study, rep, data = args
     return _fit_dataset(study, rep, data)
-
-
-@dataclass(frozen=True)
-class QuadraticLogitFit:
-    """Logistic fit with linear predictor ``b0 + b1 d + b2 d^2``.
-
-    ``peak_dose`` is the vertex ``-b1 / (2 b2)``, reported only when the
-    fitted curvature is negative (a genuine interior maximum).
-    """
-
-    status: FitStatus
-    status_reason: StatusReason
-    coefs: np.ndarray | None
-    covariance: np.ndarray | None
-    peak_dose: float | None
-    iterations: int
-
-
-def fit_quadratic_logit(
-    data: ObservationSet, config: SolverConfig = SolverConfig()
-) -> QuadraticLogitFit:
-    """Maximum-likelihood quadratic-logit fit on ``(1, d, d^2)``.
-
-    A sensitivity model for non-monotone samples; shares the failure
-    taxonomy of the main estimators (separation drives the coefficients to
-    divergence, reported as FailedToEstimate).
-    """
-    if len(data.doses) < 3:
-        raise ValueError("need at least 3 distinct doses")
-    d = data.doses
-    scale = max(1.0, d.max())
-    x = np.column_stack([np.ones_like(d), d / scale, (d / scale) ** 2])
-    beta = np.zeros(3)
-
-    def ll(b: np.ndarray) -> float:
-        from scipy.special import log_expit
-
-        lin = x @ b
-        return float(
-            np.sum(data.events * log_expit(lin) + (data.n - data.events) * log_expit(-lin))
-        )
-
-    f = ll(beta)
-    it = 0
-    while it < config.max_iter:
-        it += 1
-        lin = x @ beta
-        pi = expit(lin)
-        g = x.T @ (data.events - data.n * pi)
-        if np.max(np.abs(g)) <= config.grad_tol:
-            break
-        if np.max(np.abs(lin)) > 30.0:
-            return QuadraticLogitFit(
-                FitStatus.FailedToEstimate, StatusReason.NON_FINITE, None, None, None, it
-            )
-        w = data.n * pi * (1.0 - pi)
-        h = x.T @ (w[:, None] * x)
-        try:
-            step = np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            return QuadraticLogitFit(
-                FitStatus.FailedToEstimate,
-                StatusReason.SINGULAR_INFORMATION,
-                None,
-                None,
-                None,
-                it,
-            )
-        lam, accepted = 1.0, False
-        for _ in range(30):
-            cand = beta + lam * step
-            fc = ll(cand)
-            if np.isfinite(fc) and fc > f:
-                accepted = True
-                break
-            lam /= 2.0
-        if not accepted:
-            break
-        beta, f = cand, fc
-    else:
-        return QuadraticLogitFit(
-            FitStatus.FailedToEstimate, StatusReason.NON_CONVERGENCE, None, None, None, it
-        )
-    lin = x @ beta
-    pi = expit(lin)
-    w = data.n * pi * (1.0 - pi)
-    try:
-        cov_scaled = np.linalg.inv(x.T @ (w[:, None] * x))
-    except np.linalg.LinAlgError:
-        return QuadraticLogitFit(
-            FitStatus.FailedToEstimate,
-            StatusReason.SINGULAR_INFORMATION,
-            None,
-            None,
-            None,
-            it,
-        )
-    # Undo the dose rescaling used for conditioning.
-    s = np.diag([1.0, 1.0 / scale, 1.0 / scale**2])
-    coefs = s @ beta
-    cov = s @ cov_scaled @ s
-    peak = float(-coefs[1] / (2.0 * coefs[2])) if coefs[2] < 0 else None
-    return QuadraticLogitFit(
-        FitStatus.Converged, StatusReason.NONE, coefs, cov, peak, it
-    )
 
 
 _TABLE_COLUMNS = (

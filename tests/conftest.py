@@ -33,9 +33,10 @@ def random_dataset(rng: np.random.Generator, n_arms: int | None = None) -> Obser
 def well_conditioned_point(seed: int, max_cond: float = 1e4) -> tuple[EmaxParams, ObservationSet]:
     """A random parameter point and dataset whose expected information is well conditioned.
 
-    Analytic Jacobians contract the inverse information twice, so their
-    rounding error grows with its condition number; derivative oracles that
-    compare them with finite differences draw points with ``cond(I) < max_cond``.
+    The derivative oracles compare analytic Jacobians with a Richardson
+    difference at a fixed step h = 1e-3, whose truncation error grows with
+    the condition number of the information; they draw points with
+    ``cond(I) < max_cond`` so that error stays below their tolerance.
     """
     rng = np.random.default_rng(seed)
     params, data = random_params(rng), random_dataset(rng)

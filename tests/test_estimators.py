@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit
 
 from emaxbr import (
     EmaxParams,
@@ -22,6 +23,7 @@ from emaxbr import (
     fit_firth,
     fit_mle,
     fit_mple,
+    fit_quadratic_logit,
     hessian,
     invert_information,
     log_likelihood,
@@ -64,7 +66,6 @@ class TestSolverConfig:
         "kwargs",
         [
             {"grad_tol": 0.0},
-            {"rel_change_tol": -1.0},
             {"max_iter": 0},
             {"ed50_upper_mult": -1.0},
             {"rel_se_threshold": 0.0},
@@ -436,6 +437,107 @@ SEPARATED = ObservationSet(
 )
 ALL_ZERO = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.zeros(3))
 ALL_N = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.full(3, 10.0))
+
+
+def _quadratic(center: np.ndarray, curv: np.ndarray):
+    """``value`` and ``derivs`` of ``-0.5 (x - center)' curv (x - center)``."""
+
+    def value(x):
+        r = x - center
+        return -0.5 * float(r @ curv @ r), x
+
+    def derivs(x):
+        return -curv @ (x - center), -curv
+
+    return value, derivs
+
+
+def _never(theta):
+    return False
+
+
+class TestAscend:
+    def test_concave_quadratic_converges(self):
+        center = np.array([1.0, -2.0, 0.5])
+        curv = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+        value, derivs = _quadratic(center, curv)
+        run = estimators._ascend(np.zeros(3), value, derivs, _never, SolverConfig())
+        assert run.reason is StatusReason.NONE
+        np.testing.assert_allclose(run.theta, center, atol=1e-10)
+        assert run.iterations == 2  # one Newton step, then the gradient test
+
+    def test_indefinite_start_still_ascends(self):
+        # f = -(x^2 - 1)^2 - y^2 has positive curvature in x near x = 0.
+        def value(p):
+            return -((p[0] ** 2 - 1.0) ** 2) - p[1] ** 2, p
+
+        def derivs(p):
+            g = np.array([-4.0 * p[0] * (p[0] ** 2 - 1.0), -2.0 * p[1]])
+            return g, np.diag([4.0 - 12.0 * p[0] ** 2, -2.0])
+
+        start = np.array([0.1, 1.0])
+        assert np.linalg.eigvalsh(derivs(start)[1]).max() > 0
+        run = estimators._ascend(start, value, derivs, _never, SolverConfig())
+        assert run.reason is StatusReason.NONE
+        np.testing.assert_allclose(run.theta, [1.0, 0.0], atol=1e-6)
+
+    def test_unbounded_objective_ends_non_finite_through_diverged(self):
+        def value(p):
+            return float(p.sum()), p
+
+        def derivs(p):
+            return np.ones(2), np.zeros((2, 2))
+
+        run = estimators._ascend(
+            np.zeros(2), value, derivs, lambda p: np.max(np.abs(p)) > 50.0, SolverConfig()
+        )
+        assert run.reason is StatusReason.NON_FINITE
+        assert np.max(np.abs(run.theta)) > 50.0
+
+    @pytest.mark.parametrize("bad", ["gradient", "hessian"])
+    def test_nan_derivatives_are_non_finite(self, bad):
+        value, derivs = _quadratic(np.ones(3), np.eye(3))
+
+        def nan_derivs(x):
+            g, h = derivs(x)
+            return (np.full(3, np.nan), h) if bad == "gradient" else (g, np.full((3, 3), np.nan))
+
+        run = estimators._ascend(np.zeros(3), value, nan_derivs, _never, SolverConfig())
+        assert run.reason is StatusReason.NON_FINITE
+
+    def test_iteration_cap_is_non_convergence(self):
+        value, derivs = _quadratic(np.full(3, 100.0), np.eye(3))
+        run = estimators._ascend(np.zeros(3), value, derivs, _never, SolverConfig(max_iter=1))
+        assert run.reason is StatusReason.NON_CONVERGENCE
+        assert run.iterations == 1
+
+
+def _quadratic_logit_score(res, data: ObservationSet) -> np.ndarray:
+    """The quadratic-logit score on the dose scale the fit ascends on."""
+    d = data.doses / max(1.0, data.doses.max())
+    x = np.column_stack([np.ones_like(d), d, d**2])
+    lin = np.column_stack([np.ones_like(d), data.doses, data.doses**2]) @ res.coefs
+    return x.T @ (data.events - data.n * expit(lin))
+
+
+@given(datasets())
+@example(SEPARATED)
+@example(ALL_ZERO)
+@example(ALL_N)
+@settings(max_examples=60, deadline=None)
+def test_ascent_results_solve_their_estimating_equation(data):
+    fits = [
+        (fit_mle(data), lambda r: score(r.params, data)),
+        (fit_mple(data), lambda r: penalized_score(r.params, data)),
+    ]
+    if len(data.doses) >= 3:
+        fits.append((fit_quadratic_logit(data), lambda r: _quadratic_logit_score(r, data)))
+    for res, equation in fits:
+        if res.status is FitStatus.Converged:
+            assert np.max(np.abs(equation(res))) <= 1e-4
+        elif res.status is FitStatus.FailedToEstimate:
+            assert getattr(res, "params", None) is None and getattr(res, "coefs", None) is None
+            assert res.covariance is None
 
 
 class TestFitAll:
