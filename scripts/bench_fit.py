@@ -11,7 +11,13 @@ Measures, against the emaxbr sources under ``--src``:
   ``shared_work``), on the golden dataset and on replicate 0 of the
   far-ED50 study (truth ``(-2.197, 2.197, log 250)``, n = 200, seed 3);
 * replicates per second of one 100-replicate study cell at the main truth
-  with all four estimators and one worker.
+  with all four estimators and one worker;
+* microseconds per dataset of ``starting_values`` on the first 64
+  replicates of that cell, each dataset alone, and in one 64-dataset batch
+  (``batch_starting_values``; sources without it run the 64 datasets one
+  by one);
+* milliseconds per ``bootstrap_bands`` call of the MPLE with 200 refits on
+  replicate 0 of that cell, with one worker.
 
 Every figure is the median over ``--repeats`` runs.  Results go into the
 ``--out`` JSON under ``--label``; other labels already in the file are
@@ -26,8 +32,8 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread, as in the study workers, before NumPy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+# One BLAS thread, as in the study workers, before NumPy loads; one worker.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "EMAXBR_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
@@ -92,10 +98,20 @@ def measure(emaxbr, repeats: int) -> dict:
         seed=4_100_000,
     )
 
+    starts = [emaxbr.generate_dataset(cell, r) for r in range(64)]
+    batch = getattr(emaxbr, "batch_starting_values", None) or (
+        lambda datasets: [emaxbr.starting_values(d) for d in datasets]
+    )
+    start_calls = {
+        "alone": lambda: [emaxbr.starting_values(d) for d in starts],
+        "batch64": lambda: batch(starts),
+    }
+
     jac_calls = _jacobian_calls(emaxbr, golden)
     jac = {name: [] for name in jac_calls}
     fits = {(ds, k.value): [] for ds in ("golden", "far_ed50") for k in kinds}
-    rates = []
+    start_us = {name: [] for name in start_calls}
+    rates, boot_ms = [], []
     emaxbr.run_study(cell)  # warm-up: imports, allocator and caches
     for _ in range(repeats):
         for name, fn in jac_calls.items():
@@ -104,9 +120,14 @@ def measure(emaxbr, repeats: int) -> dict:
             for kind in kinds:
                 per = _per_call(lambda: emaxbr.fit(kind, data), 0.3)
                 fits[(ds, kind.value)].append(1e3 * per)
+        for name, fn in start_calls.items():
+            start_us[name].append(1e6 * _per_call(fn, 0.3) / len(starts))
         t0 = time.perf_counter()
         emaxbr.run_study(cell)
         rates.append(cell.n_reps / (time.perf_counter() - t0))
+        t0 = time.perf_counter()
+        emaxbr.bootstrap_bands(starts[0], emaxbr.EstimatorKind.MPLE, DOSES, n_boot=200)
+        boot_ms.append(1e3 * (time.perf_counter() - t0))
 
     return {
         "jacobian_us_per_call": {k: statistics.median(v) for k, v in jac.items()},
@@ -115,6 +136,10 @@ def measure(emaxbr, repeats: int) -> dict:
             for ds in ("golden", "far_ed50")
         },
         "study_cell_reps_per_s": statistics.median(rates),
+        "starting_values_us_per_dataset": {
+            k: statistics.median(v) for k, v in start_us.items()
+        },
+        "bootstrap_mple_200_ms": statistics.median(boot_ms),
         "repeats": repeats,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

@@ -35,6 +35,7 @@ from .estimators import (
     StatusReason,
     FitResult,
     starting_values,
+    batch_starting_values,
     fit_mle,
     cox_snell_bias,
     fit_cox_snell,

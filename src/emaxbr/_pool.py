@@ -5,6 +5,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+# Datasets per chunk: a chunk's start grids are solved as one batch.
+CHUNK = 64
+
 
 def n_workers() -> int:
     """Worker count from ``EMAXBR_THREADS``; unset, malformed or < 1 means 1."""
@@ -14,14 +17,20 @@ def n_workers() -> int:
         return 1
 
 
-def pool_map(func, jobs: list, chunksize: int, min_jobs: int = 2) -> list:
+def chunks(n_items: int) -> list[range]:
+    """``range(n_items)`` cut into ``ceil(n_items / CHUNK)`` near-equal contiguous ranges."""
+    k = -(-n_items // CHUNK)
+    return [range(i * n_items // k, (i + 1) * n_items // k) for i in range(k)]
+
+
+def pool_map(func, jobs: list, serial: bool = False) -> list:
     """``[func(job) for job in jobs]``, fanned out over :func:`n_workers` processes.
 
-    Runs serially with one worker or fewer than ``min_jobs`` jobs.  Results
-    come back in job order either way.
+    Each job is one task.  Runs serially with one worker, one job, or
+    ``serial``.  Results come back in job order either way.
     """
     workers = n_workers()
-    if workers > 1 and len(jobs) >= min_jobs:
+    if workers > 1 and len(jobs) > 1 and not serial:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, jobs, chunksize=chunksize))
+            return list(pool.map(func, jobs))
     return [func(job) for job in jobs]

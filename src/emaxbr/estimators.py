@@ -34,13 +34,19 @@ one block only; a fitter called outside one gets a fresh memo, so
 ``fit_all(data, kinds)`` returns exactly what separate ``fit`` calls
 return.  Each estimator still passes through one :func:`fit` call.
 
-The start grid is solved as one batch: the 21 log-ED50 grid points run
-their two-parameter logistic fits side by side, each row with its own step
-halving and stopping rules.  Each row goes through the same BLAS and LAPACK
-calls as the per-point loop that the batch replaced, so the start point is
-unchanged bit for bit and so are the study artifacts.  The estimating
-equations evaluate the derivative tensors once per call and derive the
-score, the information and the per-arm quantities below from them.
+The start grid is solved as one batch, and so are the grids of many
+datasets: :func:`batch_starting_values` stacks ``R x 21`` rows, each with
+its own arm sizes, events and covariate, and runs their two-parameter
+logistic fits side by side, each row with its own step halving and
+stopping rules.  Every operation acts row by row, with the BLAS and LAPACK
+calls of the per-point loop that the batch replaced, so each start is bit
+for bit the one its dataset gets alone (:func:`starting_values` is the
+one-dataset case).  The study harness and the bootstrap use this: they
+split their datasets into chunks of at most 64, solve each chunk's starts
+in one batch, and fit each dataset in a :func:`shared_work` block whose
+memo is pre-filled with its start.  The estimating equations evaluate the
+derivative tensors once per call and derive the score, the information and
+the per-arm quantities below from them.
 
 Per-arm estimating equations
 ----------------------------
@@ -61,8 +67,8 @@ from one tensor pass.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
-from contextlib import contextmanager, suppress
+from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -91,6 +97,7 @@ __all__ = [
     "FitResult",
     "instability_rules",
     "starting_values",
+    "batch_starting_values",
     "fit_mle",
     "cox_snell_bias",
     "fit_cox_snell",
@@ -326,13 +333,16 @@ class _DatasetWork:
     """Memo of the work the estimators share on one dataset.
 
     Holds the start point, the MLE fit and the MPLE fit, each computed on
-    first request.  Every fitter obtains one through :func:`_work`.
+    first request unless given.  Every fitter obtains one through
+    :func:`_work`.
     """
 
-    def __init__(self, data: ObservationSet, config: SolverConfig):
+    def __init__(
+        self, data: ObservationSet, config: SolverConfig, start: EmaxParams | None = None
+    ):
         self.data = data
         self.config = config
-        self._start: EmaxParams | None = None
+        self._start = start
         self._mle: FitResult | None = None
         self._mple: FitResult | None = None
 
@@ -374,23 +384,26 @@ _GRID_HALVINGS = 20
 _GRID_STEP_TOL = 1e-8
 
 
-def _loglik_rows(lin: np.ndarray, data: ObservationSet) -> np.ndarray:
+def _loglik_rows(lin: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Log-likelihood of each row of linear predictors (one column per arm)."""
-    return np.sum(
-        data.events * log_expit(lin) + (data.n - data.events) * log_expit(-lin), axis=1
-    )
+    return (y * log_expit(lin) + (n - y) * log_expit(-lin)).sum(axis=1)
 
 
 def _solve_rows(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve each 2x2 system ``h[k] s = g[k]``; a singular system yields NaN."""
+    """Solve each 2x2 system ``h[k] s = g[k]``; a singular system yields NaN.
+
+    A stack that holds a singular system is bisected until each singular
+    system stands alone, so every regular system still gets the LAPACK call
+    of one stacked solve, and a stack of N rows with k singular ones costs
+    about ``2 k log2(N)`` solve calls.
+    """
     try:
         return np.linalg.solve(h, g[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        steps = np.full(g.shape, np.nan)
-        for k in range(len(h)):
-            with suppress(np.linalg.LinAlgError):
-                steps[k] = np.linalg.solve(h[k], g[k])
-        return steps
+        if len(h) == 1:
+            return np.full(g.shape, np.nan)
+        mid = len(h) // 2
+        return np.concatenate([_solve_rows(h[:mid], g[:mid]), _solve_rows(h[mid:], g[mid:])])
 
 
 def starting_values(data: ObservationSet) -> EmaxParams:
@@ -404,64 +417,99 @@ def starting_values(data: ObservationSet) -> EmaxParams:
     and slope are clipped to the divergence bound so degenerate grid points
     cannot poison downstream solvers.
 
-    The 21 solves run as one batch (see :func:`_grid_fits`).
+    This is the one-dataset case of :func:`batch_starting_values`: the 21
+    solves run as one batch (see :func:`_grid_batch`).
     """
-    phi, u, ab = _grid_fits(data)
+    return batch_starting_values([data])[0]
+
+
+def batch_starting_values(datasets: Sequence[ObservationSet]) -> list[EmaxParams]:
+    """:func:`starting_values` of each dataset, with all their grids solved as one batch.
+
+    The datasets must have the same number of arms; doses, arm sizes and
+    events may differ.  Each start is bit for bit the one
+    ``starting_values`` gives the dataset alone, whatever else the batch
+    holds and in whatever order.
+    """
+    if not datasets:
+        return []
+    phi, u, ab, n, y = _grid_batch(datasets)
     # Scored as log_likelihood scores a parameter triple: e0 + emax * u.
-    best = int(np.argmax(_loglik_rows(ab[:, :1] + ab[:, 1:] * u, data)))
-    return EmaxParams(float(ab[best, 0]), float(ab[best, 1]), float(phi[best]))
+    ll = _loglik_rows(ab[:, :1] + ab[:, 1:] * u, n, y).reshape(phi.shape)
+    best = np.arange(len(phi)), np.argmax(ll, axis=1)
+    chosen = ab.reshape(*phi.shape, 2)[best]
+    return [EmaxParams(float(a), float(b), float(p)) for (a, b), p in zip(chosen, phi[best])]
 
 
 def _grid_fits(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The start grid's ``phi``, covariate rows ``u`` and clipped ``(e0, emax)`` fits.
+    """The start grid of one dataset: ``phi``, covariate rows ``u`` and clipped ``(e0, emax)``."""
+    phi, u, ab, _, _ = _grid_batch([data])
+    return phi[0], u, ab
 
-    Each grid point takes Newton (IRLS) steps with step halving until its
-    2x2 system is singular, its line search fails, its step falls below
-    1e-8, or it has taken 25 steps.  The grid points form the rows of
-    stacked arrays, so each NumPy call serves every point still iterating.
-    Stacked ``@`` and ``np.linalg.solve`` make, per row, the BLAS and
-    LAPACK calls that a lone grid point's fit would make.
+
+def _grid_batch(datasets: Sequence[ObservationSet]) -> tuple[np.ndarray, ...]:
+    """The start grids of ``R`` datasets as ``R x 21`` stacked rows.
+
+    Returns ``phi`` of shape ``(R, 21)``, and per row (dataset-major) the
+    covariates ``u``, the clipped ``(e0, emax)`` fit and the row's arm sizes
+    ``n`` and events ``y``.  Each row takes Newton (IRLS) steps with step
+    halving until its 2x2 system is singular, its line search fails, its
+    step falls below 1e-8, or it has taken 25 steps.  Each NumPy call
+    serves every row still iterating, and every operation acts row by row:
+    stacked ``@`` and ``np.linalg.solve`` make, per row, the BLAS and LAPACK
+    calls that a lone grid point's fit would make, and sums run along a
+    row's arms.  So a row's result does not depend on the other rows.
     """
-    n, y = data.n, data.events
-    e0_0 = float(np.log((y[0] + 0.5) / (n[0] - y[0] + 0.5)))
-    phi = np.linspace(
-        np.log(0.1 * data.dmin_positive()), np.log(5.0 * data.dmax()), _GRID_POINTS
-    )
-    u = data.doses / (np.exp(phi)[:, None] + data.doses)
-    design = np.stack([np.ones_like(u), u], axis=-1)  # (grid point, arm, coefficient)
-    ab = np.tile([e0_0, 0.0], (_GRID_POINTS, 1))
-    f = _loglik_rows((design @ ab[:, :, None])[:, :, 0], data)
-    live = np.arange(_GRID_POINTS)
-    for _ in range(_GRID_MAX_ITER):
-        if live.size == 0:
-            break
-        x, abl = design[live], ab[live]
-        pi = expit((x @ abl[:, :, None])[:, :, 0])
-        wt = n * pi * (1.0 - pi)
-        xt = x.transpose(0, 2, 1)
-        step = _solve_rows(xt @ (wt[:, :, None] * x), (xt @ (y - n * pi)[:, :, None])[:, :, 0])
-        solvable = np.all(np.isfinite(step), axis=1)
-        lam = np.ones(live.size)
-        searching = solvable.copy()
-        for _ in range(_GRID_HALVINGS):
-            rows = np.flatnonzero(searching)
-            if rows.size == 0:
+    if len({len(d.doses) for d in datasets}) != 1:
+        raise ValueError("batched starting values need datasets with equal arm counts")
+    doses = np.stack([d.doses for d in datasets])
+    n_arm = np.stack([d.n for d in datasets])
+    y_arm = np.stack([d.events for d in datasets])
+    e0_0 = np.log((y_arm[:, 0] + 0.5) / (n_arm[:, 0] - y_arm[:, 0] + 0.5))
+    lo = np.log(0.1 * np.array([d.dmin_positive() for d in datasets]))
+    hi = np.log(5.0 * np.array([d.dmax() for d in datasets]))
+    phi = np.linspace(lo, hi, _GRID_POINTS, axis=1)
+    rows = phi.size
+    u = (doses[:, None, :] / (np.exp(phi)[:, :, None] + doses[:, None, :])).reshape(rows, -1)
+    n = np.repeat(n_arm, _GRID_POINTS, axis=0)
+    y = np.repeat(y_arm, _GRID_POINTS, axis=0)
+    design = np.stack([np.ones_like(u), u], axis=-1)  # (row, arm, coefficient)
+    ab = np.zeros((rows, 2))
+    ab[:, 0] = np.repeat(e0_0, _GRID_POINTS)
+    f = _loglik_rows((design @ ab[:, :, None])[:, :, 0], n, y)
+    live = np.arange(rows)
+    # Rows that run off to infinity or hit a singular system drop out below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(_GRID_MAX_ITER):
+            if live.size == 0:
                 break
-            with np.errstate(invalid="ignore", over="ignore"):
-                cand = abl[rows] + lam[rows, None] * step[rows]
-                fc = _loglik_rows((x[rows] @ cand[:, :, None])[:, :, 0], data)
-            ok = np.isfinite(fc) & (fc >= f[live[rows]])
-            took = rows[ok]
-            abl[took] = cand[ok]
-            f[live[took]] = fc[ok]
-            searching[took] = False
-            lam[rows[~ok]] /= 2.0
-        ab[live] = abl
-        accepted = solvable & ~searching
-        with np.errstate(invalid="ignore"):
-            moving = np.max(np.abs(lam[:, None] * step), axis=1) >= _GRID_STEP_TOL
-        live = live[accepted & moving]
-    return phi, u, np.clip(ab, -_DIVERGENCE_BOUND, _DIVERGENCE_BOUND)
+            x, abl, nl, yl = design[live], ab[live], n[live], y[live]
+            pi = expit((x @ abl[:, :, None])[:, :, 0])
+            wt = nl * pi * (1.0 - pi)
+            xt = x.transpose(0, 2, 1)
+            step = _solve_rows(
+                xt @ (wt[:, :, None] * x), (xt @ (yl - nl * pi)[:, :, None])[:, :, 0]
+            )
+            solvable = np.isfinite(step).all(axis=1)
+            lam = np.ones(live.size)
+            searching = solvable.copy()
+            for _ in range(_GRID_HALVINGS):
+                sel = searching.nonzero()[0]
+                if sel.size == 0:
+                    break
+                cand = abl[sel] + lam[sel, None] * step[sel]
+                fc = _loglik_rows((x[sel] @ cand[:, :, None])[:, :, 0], nl[sel], yl[sel])
+                ok = np.isfinite(fc) & (fc >= f[live[sel]])
+                took = sel[ok]
+                abl[took] = cand[ok]
+                f[live[took]] = fc[ok]
+                searching[took] = False
+                lam[sel[~ok]] /= 2.0
+            ab[live] = abl
+            accepted = solvable & ~searching
+            moving = np.abs(lam[:, None] * step).max(axis=1) >= _GRID_STEP_TOL
+            live = live[accepted & moving]
+    return phi, u, np.clip(ab, -_DIVERGENCE_BOUND, _DIVERGENCE_BOUND), n, y
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +958,7 @@ def fit_quadratic_logit(
     x = np.column_stack([np.ones_like(d), d / scale, (d / scale) ** 2])
 
     def value(b):
-        return float(_loglik_rows((x @ b)[None, :], data)[0]), b
+        return float(_loglik_rows((x @ b)[None, :], data.n, data.events)[0]), b
 
     def derivs(b):
         pi = expit(x @ b)
@@ -954,15 +1002,24 @@ def fit(
 
 
 @contextmanager
-def shared_work(data: ObservationSet, config: SolverConfig = SolverConfig()):
+def shared_work(
+    data: ObservationSet,
+    config: SolverConfig = SolverConfig(),
+    start: EmaxParams | None = None,
+):
     """Let the fits of ``data`` made inside the block share their common work.
 
     Inside the block, fits of this very ``data`` object under an equal
     ``config`` compute the start point, the MLE and the MPLE at most once
     (see the module docstring).  Their results are identical to fits made
     outside the block.  The memo is dropped when the block ends.
+
+    ``start``, if given, pre-fills the memo's start point, so no fit in the
+    block runs the start grid.  It must equal ``starting_values(data)``;
+    callers that fit many datasets take it from
+    :func:`batch_starting_values`, which guarantees that.
     """
-    token = _ACTIVE_WORK.set(_DatasetWork(data, config))
+    token = _ACTIVE_WORK.set(_DatasetWork(data, config, start))
     try:
         yield
     finally:

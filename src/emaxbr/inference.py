@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from ._pool import pool_map
+from ._pool import chunks, pool_map
 from .estimators import (
     EstimatorKind,
     FitStatus,
     SingularInformation,
     SolverConfig,
     StatusReason,
+    batch_starting_values,
     fit,
     penalized_hessian,
+    shared_work,
 )
 from .model import EmaxParams, ObservationSet, hessian, invert_information, predict_prob
 
@@ -154,14 +156,22 @@ def _resample(data: ObservationSet, rng: np.random.Generator) -> ObservationSet:
     return ObservationSet(data.doses, data.n, events.astype(float))
 
 
-def _boot_one(args) -> np.ndarray | None:
-    data, kind, doses, seed, r, config = args
-    rng = np.random.default_rng([seed, r])
-    sample = _resample(data, rng)
-    res = fit(kind, sample, config)
-    if res.status is FitStatus.FailedToEstimate or res.params is None:
-        return None
-    return np.asarray(predict_prob(res.params, np.asarray(doses, dtype=float)))
+def _boot_chunk(args) -> list[np.ndarray | None]:
+    """Fitted probabilities of a chunk of refits (None where a refit fails).
+
+    The chunk's resamples get their starts from one batched grid solve.
+    """
+    data, kind, doses, seed, reps, config = args
+    samples = [_resample(data, np.random.default_rng([seed, r])) for r in reps]
+    out = []
+    for sample, start in zip(samples, batch_starting_values(samples)):
+        with shared_work(sample, config, start):
+            res = fit(kind, sample, config)
+        if res.status is FitStatus.FailedToEstimate or res.params is None:
+            out.append(None)
+        else:
+            out.append(np.asarray(predict_prob(res.params, doses)))
+    return out
 
 
 def bootstrap_bands(
@@ -181,6 +191,14 @@ def bootstrap_bands(
     ``r`` draws from the stream keyed by ``(seed, r)``; results are
     collected into a fixed order before the percentiles, so any execution
     schedule yields identical bands.
+
+    The refits are cut into contiguous chunks of at most 64.  A chunk draws
+    its resamples, solves their start grids in one batch (see
+    :func:`~emaxbr.estimators.batch_starting_values`), and refits each one
+    with a single :func:`~emaxbr.estimators.fit` call inside a
+    :func:`~emaxbr.estimators.shared_work` block that holds its start; the
+    fits are those of a refit-by-refit loop.  Chunks fan out over
+    ``EMAXBR_THREADS`` processes from 200 refits on, and run serially below.
     """
     if n_boot < 100 and n_boot != 1:
         raise ValueError("n_boot must be at least 100 (or exactly 1 for smoke use)")
@@ -192,8 +210,8 @@ def bootstrap_bands(
         raise PointFitFailed(kind, point_fit.status_reason, n_boot)
     point = np.asarray(predict_prob(point_fit.params, doses))
 
-    jobs = [(data, kind, doses, seed, r, config) for r in range(n_boot)]
-    results = pool_map(_boot_one, jobs, chunksize=64, min_jobs=200)
+    jobs = [(data, kind, doses, seed, reps, config) for reps in chunks(n_boot)]
+    results = [p for ps in pool_map(_boot_chunk, jobs, serial=n_boot < 200) for p in ps]
 
     kept = [r for r in results if r is not None]
     n_failed = n_boot - len(kept)

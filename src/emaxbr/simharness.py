@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from ._pool import pool_map
+from ._pool import chunks, pool_map
 from .diagnostics import Shape, classify_shape
 from .estimators import (
     EstimatorKind,
@@ -30,6 +30,7 @@ from .estimators import (
     QuadraticLogitFit,
     SolverConfig,
     StatusReason,
+    batch_starting_values,
     fit,
     fit_quadratic_logit,
     shared_work,
@@ -171,14 +172,31 @@ def generate_dataset(study: SimStudy, rep_index: int) -> ObservationSet:
     return ObservationSet(doses, study.arm_sizes().astype(float), events)
 
 
-def _fit_rep(args) -> list[AuditRow]:
-    study, rep = args
-    return _fit_dataset(study, rep, generate_dataset(study, rep))
+def _fit_reps(args) -> list[AuditRow]:
+    study, reps = args
+    return _fit_datasets(study, reps, [generate_dataset(study, r) for r in reps])
 
 
-def _fit_dataset(study: SimStudy, rep: int, data: ObservationSet) -> list[AuditRow]:
+def _fit_kept(args) -> list[AuditRow]:
+    study, kept = args
+    return _fit_datasets(study, [rep for rep, _ in kept], [data for _, data in kept])
+
+
+def _fit_datasets(study: SimStudy, reps, datasets: list[ObservationSet]) -> list[AuditRow]:
+    """Audit rows of a chunk of datasets, whose starts are solved in one batch."""
+    starts = batch_starting_values(datasets)
+    return [
+        row
+        for rep, data, start in zip(reps, datasets, starts)
+        for row in _fit_dataset(study, rep, data, start)
+    ]
+
+
+def _fit_dataset(
+    study: SimStudy, rep: int, data: ObservationSet, start: EmaxParams
+) -> list[AuditRow]:
     rows = []
-    with shared_work(data, study.solver):
+    with shared_work(data, study.solver, start):
         results = [fit(kind, data, study.solver) for kind in study.estimators]
     for kind, res in zip(study.estimators, results):
         est = res.params.as_array() if res.params is not None else (None,) * 3
@@ -259,11 +277,18 @@ def _aggregate(
 def run_study(study: SimStudy) -> SimMetrics:
     """Fit every estimator on every replicate and aggregate.
 
-    Replicates may fan out over ``EMAXBR_THREADS`` processes; results are
+    The replicates are cut into contiguous chunks of at most 64.  A chunk
+    draws its datasets, solves their start grids in one batch (see
+    :func:`~emaxbr.estimators.batch_starting_values`), and fits each dataset
+    with one :func:`~emaxbr.estimators.fit` call per estimator inside a
+    :func:`~emaxbr.estimators.shared_work` block that holds its start.
+    Chunks may fan out over ``EMAXBR_THREADS`` processes; results are
     reassembled in replicate order before aggregation, so the output is
-    byte-identical for any worker count.
+    byte-identical for any worker count, and to fitting the replicates one
+    by one.
     """
-    results = pool_map(_fit_rep, [(study, r) for r in range(study.n_reps)], chunksize=8)
+    jobs = [(study, reps) for reps in chunks(study.n_reps)]
+    results = pool_map(_fit_reps, jobs)
     audit = [row for rows in results for row in rows]
     return _aggregate(study, audit)
 
@@ -275,9 +300,9 @@ def run_shape_conditioned_study(
 
     Draw index ``r`` advances through the study's replicate streams until
     ``n_keep`` datasets classify as the target shape; those are fitted and
-    aggregated exactly as in :func:`run_study`, with the acceptance rate
-    recorded.  If fewer than one in 10^4 of the first 10^5 draws match, the
-    shape is declared unreachable.
+    aggregated exactly as in :func:`run_study`, in chunks, with the
+    acceptance rate recorded.  If fewer than one in 10^4 of the first 10^5
+    draws match, the shape is declared unreachable.
     """
     if len(study.doses) != 3:
         raise ValueError("shape-conditioned studies require a 3-arm design")
@@ -294,15 +319,10 @@ def run_shape_conditioned_study(
         r += 1
     rate = len(kept) / r
 
-    jobs = [(study, rep, data) for rep, data in kept]
-    results = pool_map(_fit_kept, jobs, chunksize=8)
+    jobs = [(study, kept[reps.start : reps.stop]) for reps in chunks(len(kept))]
+    results = pool_map(_fit_kept, jobs)
     audit = [row for rows in results for row in rows]
     return _aggregate(study, audit, acceptance_rate=rate, n_reps=n_keep)
-
-
-def _fit_kept(args) -> list[AuditRow]:
-    study, rep, data = args
-    return _fit_dataset(study, rep, data)
 
 
 _TABLE_COLUMNS = (

@@ -38,7 +38,7 @@ from emaxbr import (
 from emaxbr import estimators
 from conftest import random_dataset, random_params, well_conditioned_point
 from test_cumulants import _richardson_slice, _second_order_from
-from test_start_grid import datasets
+from test_start_grid import ALL_N, ALL_ZERO, SEPARATED, datasets
 
 
 def _simulate(truth: EmaxParams, doses, n_per_arm: int, seed: int) -> ObservationSet:
@@ -430,13 +430,6 @@ def _assert_same_fit(a, b) -> None:
         assert (x is None) == (y is None)
         if x is not None:
             np.testing.assert_array_equal(x, y)
-
-
-SEPARATED = ObservationSet(
-    np.array([0.0, 1.0, 2.0, 4.0, 8.0]), np.full(5, 4.0), np.array([0.0, 0.0, 4.0, 4.0, 4.0])
-)
-ALL_ZERO = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.zeros(3))
-ALL_N = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.full(3, 10.0))
 
 
 def _quadratic(center: np.ndarray, curv: np.ndarray):

@@ -5,17 +5,29 @@ log-ED50 grid points it runs damped two-parameter IRLS on the covariate
 ``dose / (ED50 + dose)`` and records why the point stopped.  The batch
 makes the same BLAS and LAPACK calls per grid point and matches the loop
 bit for bit with the reference NumPy build; the tests ask for 1e-6.
+
+The grids of many datasets batch the same way: a dataset's start from
+``batch_starting_values`` must be bit for bit its lone ``starting_values``,
+whatever the rest of the batch holds.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit, log_expit
 
-from emaxbr import EmaxParams, ObservationSet, log_likelihood, starting_values
-from emaxbr.estimators import _grid_fits
+from emaxbr import (
+    EmaxParams,
+    ObservationSet,
+    batch_starting_values,
+    log_likelihood,
+    starting_values,
+)
+from emaxbr.estimators import _grid_fits, _solve_rows
 
 TOL = 1e-6
 # Grid points whose profiled log-likelihoods lie this close are near-ties:
@@ -109,6 +121,12 @@ def datasets(draw) -> ObservationSet:
     return ObservationSet(doses, n, events)
 
 
+SEPARATED = ObservationSet(
+    np.array([0.0, 1.0, 2.0, 4.0, 8.0]), np.full(5, 4.0), np.array([0.0, 0.0, 4.0, 4.0, 4.0])
+)
+ALL_ZERO = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.zeros(3))
+ALL_N = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.full(3, 10.0))
+TWO_ARM = ObservationSet(np.array([0.0, 50.0]), np.array([20.0, 20.0]), np.array([3.0, 11.0]))
 SINGULAR = ObservationSet(np.array([0.0, 10.0, 40.0]), np.full(3, 10.0), np.array([0.0, 10.0, 10.0]))
 LINE_SEARCH = ObservationSet(
     np.array([0.0, 20.0, 50.0]), np.array([3.0, 4.0, 3.0]), np.array([3.0, 0.0, 1.0])
@@ -128,3 +146,66 @@ def test_examples_reach_each_stop_rule(data, reason):
 @settings(max_examples=150, deadline=None)
 def test_batched_grid_matches_scalar_loop(data):
     _check_against_oracle(data)
+
+
+# Flat profiles (2 arms, all-zero or all-n arms) tie every grid point to the
+# last bits, so their start shows any change in summation order.
+FIXED = (SEPARATED, ALL_ZERO, ALL_N, TWO_ARM, SINGULAR, LINE_SEARCH)
+
+
+@given(st.lists(datasets(), min_size=1, max_size=40), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_batched_start_equals_lone_start(drawn, random):
+    pool = [*drawn, *FIXED]
+    lone = {id(d): starting_values(d) for d in pool}
+    by_arms: dict[int, list[ObservationSet]] = {}
+    for d in pool:
+        by_arms.setdefault(len(d.doses), []).append(d)
+    for group in by_arms.values():
+        shuffled = random.sample(group, len(group))
+        subset = random.sample(group, random.randint(1, len(group)))
+        for batch in (group, shuffled, subset):
+            starts = batch_starting_values(batch)
+            assert len(starts) == len(batch)
+            for d, start in zip(batch, starts):
+                assert start == lone[id(d)]
+
+
+def test_batch_needs_equal_arm_counts():
+    with pytest.raises(ValueError, match="arm counts"):
+        batch_starting_values([SEPARATED, ALL_ZERO])
+    assert batch_starting_values([]) == []
+
+
+def test_solve_rows_bisects_around_singular_systems(monkeypatch):
+    rng = np.random.default_rng(0)
+    n_rows = 1000
+    h = rng.normal(size=(n_rows, 2, 2))
+    g = rng.normal(size=(n_rows, 2))
+    singular = [3, 500, 997]
+    h[singular] = [[1.0, 2.0], [2.0, 4.0]]
+    h[500] = 0.0
+    want = np.full(g.shape, np.nan)
+    for k in range(n_rows):
+        try:
+            want[k] = np.linalg.solve(h[k], g[k])
+        except np.linalg.LinAlgError:
+            assert k in singular
+
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    got = _solve_rows(h, g)
+    np.testing.assert_array_equal(got, want)
+    assert np.isnan(got[singular]).all()
+    # Each singular row fails one stack per bisection level, and each failed
+    # stack costs two more calls.
+    assert len(calls) <= 1 + 2 * len(singular) * math.ceil(math.log2(n_rows))
+    calls.clear()
+    _solve_rows(np.delete(h, singular, axis=0), np.delete(g, singular, axis=0))
+    assert calls == [n_rows - len(singular)]
