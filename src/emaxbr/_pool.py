@@ -18,8 +18,12 @@ def n_workers() -> int:
 
 
 def chunks(n_items: int) -> list[range]:
-    """``range(n_items)`` cut into ``ceil(n_items / CHUNK)`` near-equal contiguous ranges."""
-    k = -(-n_items // CHUNK)
+    """``range(n_items)`` cut into near-equal contiguous ranges, one job each.
+
+    There are ``ceil(n_items / CHUNK)`` of them, or one per worker if that
+    is more (but never an empty one), so every worker gets a job.
+    """
+    k = max(-(-n_items // CHUNK), min(n_items, n_workers()))
     return [range(i * n_items // k, (i + 1) * n_items // k) for i in range(k)]
 
 

@@ -42,11 +42,12 @@ stopping rules.  Every operation acts row by row, with the BLAS and LAPACK
 calls of the per-point loop that the batch replaced, so each start is bit
 for bit the one its dataset gets alone (:func:`starting_values` is the
 one-dataset case).  The study harness and the bootstrap use this: they
-split their datasets into chunks of at most 64, solve each chunk's starts
-in one batch, and fit each dataset in a :func:`shared_work` block whose
-memo is pre-filled with its start.  The estimating equations evaluate the
-derivative tensors once per call and derive the score, the information and
-the per-arm quantities below from them.
+split their datasets into chunks of at most 64 (and at least one chunk per
+worker), solve each chunk's starts in one batch, and fit each dataset in a
+:func:`shared_work` block whose memo is pre-filled with its start.  The
+estimating equations evaluate the derivative tensors once per call and
+derive the score, the information and the per-arm quantities below from
+them.
 
 Per-arm estimating equations
 ----------------------------
@@ -439,12 +440,6 @@ def batch_starting_values(datasets: Sequence[ObservationSet]) -> list[EmaxParams
     best = np.arange(len(phi)), np.argmax(ll, axis=1)
     chosen = ab.reshape(*phi.shape, 2)[best]
     return [EmaxParams(float(a), float(b), float(p)) for (a, b), p in zip(chosen, phi[best])]
-
-
-def _grid_fits(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The start grid of one dataset: ``phi``, covariate rows ``u`` and clipped ``(e0, emax)``."""
-    phi, u, ab, _, _ = _grid_batch([data])
-    return phi[0], u, ab
 
 
 def _grid_batch(datasets: Sequence[ObservationSet]) -> tuple[np.ndarray, ...]:
@@ -1001,12 +996,7 @@ def fit(
     return _FITTERS[kind](data, config)
 
 
-@contextmanager
-def shared_work(
-    data: ObservationSet,
-    config: SolverConfig = SolverConfig(),
-    start: EmaxParams | None = None,
-):
+def shared_work(data: ObservationSet, config: SolverConfig = SolverConfig()):
     """Let the fits of ``data`` made inside the block share their common work.
 
     Inside the block, fits of this very ``data`` object under an equal
@@ -1014,10 +1004,19 @@ def shared_work(
     (see the module docstring).  Their results are identical to fits made
     outside the block.  The memo is dropped when the block ends.
 
-    ``start``, if given, pre-fills the memo's start point, so no fit in the
-    block runs the start grid.  It must equal ``starting_values(data)``;
-    callers that fit many datasets take it from
-    :func:`batch_starting_values`, which guarantees that.
+    The study harness and the bootstrap open these blocks with the memo's
+    start pre-filled from :func:`batch_starting_values`, which equals
+    ``starting_values(data)``, so their fits are those of a plain block.
+    """
+    return _shared_work(data, config)
+
+
+@contextmanager
+def _shared_work(data: ObservationSet, config: SolverConfig, start: EmaxParams | None = None):
+    """:func:`shared_work`, with the memo's start pre-filled when ``start`` is given.
+
+    ``start`` must equal ``starting_values(data)``; take it from
+    :func:`batch_starting_values`.
     """
     token = _ACTIVE_WORK.set(_DatasetWork(data, config, start))
     try:

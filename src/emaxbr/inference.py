@@ -22,10 +22,10 @@ from .estimators import (
     SingularInformation,
     SolverConfig,
     StatusReason,
+    _shared_work,
     batch_starting_values,
     fit,
     penalized_hessian,
-    shared_work,
 )
 from .model import EmaxParams, ObservationSet, hessian, invert_information, predict_prob
 
@@ -165,7 +165,7 @@ def _boot_chunk(args) -> list[np.ndarray | None]:
     samples = [_resample(data, np.random.default_rng([seed, r])) for r in reps]
     out = []
     for sample, start in zip(samples, batch_starting_values(samples)):
-        with shared_work(sample, config, start):
+        with _shared_work(sample, config, start):
             res = fit(kind, sample, config)
         if res.status is FitStatus.FailedToEstimate or res.params is None:
             out.append(None)
@@ -192,8 +192,9 @@ def bootstrap_bands(
     collected into a fixed order before the percentiles, so any execution
     schedule yields identical bands.
 
-    The refits are cut into contiguous chunks of at most 64.  A chunk draws
-    its resamples, solves their start grids in one batch (see
+    The refits are cut into contiguous chunks of at most 64, and into at
+    least one chunk per worker.  A chunk draws its resamples, solves their
+    start grids in one batch (see
     :func:`~emaxbr.estimators.batch_starting_values`), and refits each one
     with a single :func:`~emaxbr.estimators.fit` call inside a
     :func:`~emaxbr.estimators.shared_work` block that holds its start; the

@@ -30,10 +30,10 @@ from .estimators import (
     QuadraticLogitFit,
     SolverConfig,
     StatusReason,
+    _shared_work,
     batch_starting_values,
     fit,
     fit_quadratic_logit,
-    shared_work,
 )
 from .model import EmaxParams, ObservationSet, predict_prob
 
@@ -196,7 +196,7 @@ def _fit_dataset(
     study: SimStudy, rep: int, data: ObservationSet, start: EmaxParams
 ) -> list[AuditRow]:
     rows = []
-    with shared_work(data, study.solver, start):
+    with _shared_work(data, study.solver, start):
         results = [fit(kind, data, study.solver) for kind in study.estimators]
     for kind, res in zip(study.estimators, results):
         est = res.params.as_array() if res.params is not None else (None,) * 3
@@ -277,8 +277,9 @@ def _aggregate(
 def run_study(study: SimStudy) -> SimMetrics:
     """Fit every estimator on every replicate and aggregate.
 
-    The replicates are cut into contiguous chunks of at most 64.  A chunk
-    draws its datasets, solves their start grids in one batch (see
+    The replicates are cut into contiguous chunks of at most 64, and into
+    at least one chunk per worker.  A chunk draws its datasets, solves their
+    start grids in one batch (see
     :func:`~emaxbr.estimators.batch_starting_values`), and fits each dataset
     with one :func:`~emaxbr.estimators.fit` call per estimator inside a
     :func:`~emaxbr.estimators.shared_work` block that holds its start.

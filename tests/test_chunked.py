@@ -1,9 +1,10 @@
 """Chunked fan-out against a one-dataset-at-a-time oracle.
 
 ``run_study``, ``run_shape_conditioned_study`` and ``bootstrap_bands`` cut
-their datasets into chunks of at most 64 and solve each chunk's start grids
-in one batch.  Their output must equal a plain loop that fits one dataset at
-a time, at chunk boundaries (63, 64, 65 datasets) and at any worker count.
+their datasets into chunks of at most 64, at least one per worker, and
+solve each chunk's start grids in one batch.  Their output must equal a
+plain loop that fits one dataset at a time, at chunk boundaries (63, 64, 65
+datasets) and at any worker count.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from emaxbr import (
     run_study,
     shared_work,
 )
+from emaxbr._pool import chunks
 
 TRUTH = EmaxParams(-2.197, 3.583, np.log(7.5))
 DOSES5 = (0.0, 7.5, 22.5, 75.0, 225.0)
@@ -39,6 +41,18 @@ SIZES = (1, 63, 64, 65, 130)
 @pytest.fixture(params=["1", "2"], ids=["1-worker", "2-workers"])
 def workers(request, monkeypatch):
     monkeypatch.setenv("EMAXBR_THREADS", request.param)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
+@pytest.mark.parametrize("n_items", [0, *SIZES, 100, 200])
+def test_chunks_cover_items_and_feed_every_worker(n_items, n_workers, monkeypatch):
+    monkeypatch.setenv("EMAXBR_THREADS", str(n_workers))
+    parts = chunks(n_items)
+    assert [i for part in parts for i in part] == list(range(n_items))
+    assert len(parts) == max(-(-n_items // 64), min(n_items, n_workers))
+    sizes = [len(part) for part in parts]
+    assert all(size >= 1 for size in sizes) and max(sizes, default=0) <= 64
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
 
 
 def _study(n_reps: int, **overrides) -> SimStudy:

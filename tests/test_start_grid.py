@@ -27,7 +27,7 @@ from emaxbr import (
     log_likelihood,
     starting_values,
 )
-from emaxbr.estimators import _grid_fits, _solve_rows
+from emaxbr.estimators import _grid_batch, _solve_rows
 
 TOL = 1e-6
 # Grid points whose profiled log-likelihoods lie this close are near-ties:
@@ -86,7 +86,8 @@ def _scalar_grid(data: ObservationSet):
 
 def _check_against_oracle(data: ObservationSet) -> list[str]:
     points, lls, reasons = _scalar_grid(data)
-    phi, _, ab = _grid_fits(data)
+    phi, _, ab, _, _ = _grid_batch([data])
+    phi = phi[0]
     np.testing.assert_array_equal(phi, points[:, 2])
     np.testing.assert_allclose(ab, points[:, :2], rtol=0.0, atol=TOL)
 
