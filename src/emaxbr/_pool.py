@@ -1,8 +1,9 @@
-"""Process-pool fan-out shared by the study harness and the bootstrap."""
+"""Chunking and process-pool fan-out shared by the study harness and the bootstrap."""
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 
 # Datasets per chunk: a chunk's start grids are solved as one batch.
@@ -27,14 +28,19 @@ def chunks(n_items: int) -> list[range]:
     return [range(i * n_items // k, (i + 1) * n_items // k) for i in range(k)]
 
 
-def pool_map(func, jobs: list, serial: bool = False) -> list:
-    """``[func(job) for job in jobs]``, fanned out over :func:`n_workers` processes.
+def map_chunks(func, items: Sequence, serial: bool = False) -> list:
+    """``func`` over the :func:`chunks` of ``items``, results joined in order.
 
-    Each job is one task.  Runs serially with one worker, one job, or
-    ``serial``.  Results come back in job order either way.
+    ``func`` takes one contiguous slice of ``items`` and returns a list; the
+    lists come back joined in chunk order.  Each chunk is one task, fanned
+    out over :func:`n_workers` processes; with one worker, one chunk, or
+    ``serial``, the chunks run in this process.
     """
+    parts = [items[r.start : r.stop] for r in chunks(len(items))]
     workers = n_workers()
-    if workers > 1 and len(jobs) > 1 and not serial:
+    if workers > 1 and len(parts) > 1 and not serial:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, jobs))
-    return [func(job) for job in jobs]
+            results = list(pool.map(func, parts))
+    else:
+        results = [func(part) for part in parts]
+    return [x for result in results for x in result]

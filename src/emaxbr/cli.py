@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .diagnostics import classify_shape, detect_separation, InsufficientArms
-from .estimators import EstimatorKind, FitStatus, SolverConfig, fit_all
+from .estimators import EstimatorKind, FitStatus, SolverConfig, fit, shared_work
 from .inference import TooManyFailures, bootstrap_bands, wald_ci
 from .model import ObservationSet
 from .simharness import Shape, audit_csv, emit_table, load_study, run_shape_conditioned_study, run_study
@@ -105,6 +105,29 @@ def _kinds(selector: str) -> list[EstimatorKind]:
     return [{k.value: k for k in EstimatorKind}[selector]]
 
 
+def _bootstrap_block(args, data: ObservationSet, kinds, config: SolverConfig) -> dict:
+    dose_grid = (
+        [float(v) for v in args.doses.split(",")]
+        if args.doses
+        else [float(d) for d in data.doses]
+    )
+    bands_block = {"n_boot": args.boot, "seed": args.seed, "method": "percentile", "bands": {}}
+    for kind in kinds:
+        try:
+            bands = bootstrap_bands(
+                data, kind, dose_grid, n_boot=args.boot, seed=args.seed,
+                config=config, level=args.level,
+            )
+        except TooManyFailures as exc:
+            bands_block["bands"][kind.value] = {"error": str(exc)}
+            continue
+        bands_block["bands"][kind.value] = [
+            {"dose": b.dose, "point": b.point, "lower": b.lower, "upper": b.upper}
+            for b in bands
+        ]
+    return bands_block
+
+
 def cmd_fit(args) -> int:
     data = _read_data(args.data, args.layout)
     config = _solver_from_args(args)
@@ -129,9 +152,15 @@ def cmd_fit(args) -> int:
         report["diagnostics"]["shape"] = None
         report["diagnostics"]["shape_note"] = str(exc)
 
-    worst = EXIT_OK
     kinds = _kinds(args.estimator)
-    for kind, res in zip(kinds, fit_all(data, kinds, config)):
+    # One block: bootstrap_bands' point fits reuse these.
+    with shared_work([data], config):
+        results = [fit(kind, data, config) for kind in kinds]
+        if args.boot is not None:
+            report["bootstrap"] = _bootstrap_block(args, data, kinds, config)
+
+    worst = EXIT_OK
+    for kind, res in zip(kinds, results):
         block: dict = {
             "estimator": kind.value,
             "status": res.status.value,
@@ -154,28 +183,6 @@ def cmd_fit(args) -> int:
             worst = max(worst, EXIT_FAILED)
         elif res.status is FitStatus.Unstable:
             worst = max(worst, EXIT_UNSTABLE)
-
-    if args.boot is not None:
-        dose_grid = (
-            [float(v) for v in args.doses.split(",")]
-            if args.doses
-            else [float(d) for d in data.doses]
-        )
-        bands_block = {"n_boot": args.boot, "seed": args.seed, "method": "percentile", "bands": {}}
-        for kind in kinds:
-            try:
-                bands = bootstrap_bands(
-                    data, kind, dose_grid, n_boot=args.boot, seed=args.seed,
-                    config=config, level=args.level,
-                )
-            except TooManyFailures as exc:
-                bands_block["bands"][kind.value] = {"error": str(exc)}
-                continue
-            bands_block["bands"][kind.value] = [
-                {"dose": b.dose, "point": b.point, "lower": b.lower, "upper": b.upper}
-                for b in bands
-            ]
-        report["bootstrap"] = bands_block
 
     if args.format == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)

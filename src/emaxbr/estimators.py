@@ -26,13 +26,16 @@ Shared per-dataset work
 -----------------------
 The estimators overlap: Cox-Snell corrects the MLE, Firth's root search
 leads with the MPLE, and every solver starts from :func:`starting_values`.
-Fits made inside a :func:`shared_work` block, such as those of
-:func:`fit_all`, do each of those pieces once per dataset: the start point
-is computed once, Cox-Snell reuses the MLE fit, Firth leads with the MPLE
-fit, and Firth's start sequence reuses the start point.  The memo lives for
-one block only; a fitter called outside one gets a fresh memo, so
-``fit_all(data, kinds)`` returns exactly what separate ``fit`` calls
-return.  Each estimator still passes through one :func:`fit` call.
+Each fit draws on a per-dataset memo that holds the start point and, once
+solved, the MLE and the MPLE fits.  A fit made outside a
+:func:`shared_work` block gets a fresh memo.  ``shared_work(datasets)``
+solves the start grids of all its datasets in one batch and keeps one memo
+per dataset until the block ends, so fits of those datasets inside the
+block compute each shared piece once: Cox-Snell reuses the MLE fit, Firth
+leads with the MPLE fit, and every solver reuses the start point.  Each
+estimator still passes through one :func:`fit` call, and every result is
+the one a lone ``fit`` call returns.  :func:`fit_all`, the study harness,
+the bootstrap and the command line all fit through such blocks.
 
 The start grid is solved as one batch, and so are the grids of many
 datasets: :func:`batch_starting_values` stacks ``R x 21`` rows, each with
@@ -41,13 +44,9 @@ logistic fits side by side, each row with its own step halving and
 stopping rules.  Every operation acts row by row, with the BLAS and LAPACK
 calls of the per-point loop that the batch replaced, so each start is bit
 for bit the one its dataset gets alone (:func:`starting_values` is the
-one-dataset case).  The study harness and the bootstrap use this: they
-split their datasets into chunks of at most 64 (and at least one chunk per
-worker), solve each chunk's starts in one batch, and fit each dataset in a
-:func:`shared_work` block whose memo is pre-filled with its start.  The
-estimating equations evaluate the derivative tensors once per call and
-derive the score, the information and the per-arm quantities below from
-them.
+one-dataset case).  The estimating equations evaluate the derivative
+tensors once per call and derive the score, the information and the
+per-arm quantities below from them.
 
 Per-arm estimating equations
 ----------------------------
@@ -333,14 +332,12 @@ def _leverage_jacobian(pt: _Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _DatasetWork:
     """Memo of the work the estimators share on one dataset.
 
-    Holds the start point, the MLE fit and the MPLE fit, each computed on
-    first request unless given.  Every fitter obtains one through
-    :func:`_work`.
+    Holds the start point, given when the memo is built, and the MLE and
+    MPLE fits, each solved on first request.  Every fitter obtains one
+    through :func:`_work`.
     """
 
-    def __init__(
-        self, data: ObservationSet, config: SolverConfig, start: EmaxParams | None = None
-    ):
+    def __init__(self, data: ObservationSet, config: SolverConfig, start: EmaxParams):
         self.data = data
         self.config = config
         self._start = start
@@ -348,8 +345,6 @@ class _DatasetWork:
         self._mple: FitResult | None = None
 
     def start(self) -> np.ndarray:
-        if self._start is None:
-            self._start = starting_values(self.data)
         return self._start.as_array()
 
     def mle(self) -> FitResult:
@@ -363,16 +358,19 @@ class _DatasetWork:
         return self._mple
 
 
-# The memo of the enclosing shared_work block, if any; reset when the block ends.
-_ACTIVE_WORK: ContextVar[_DatasetWork | None] = ContextVar("_ACTIVE_WORK", default=None)
+# The memos of the enclosing shared_work block by dataset identity, if any;
+# reset when the block ends.  A memo holds its dataset, so no id is reused.
+_ACTIVE_WORK: ContextVar[dict[int, _DatasetWork] | None] = ContextVar(
+    "_ACTIVE_WORK", default=None
+)
 
 
 def _work(data: ObservationSet, config: SolverConfig) -> _DatasetWork:
-    """The enclosing ``shared_work`` memo when it is for this dataset, else a fresh one."""
-    work = _ACTIVE_WORK.get()
-    if work is not None and work.data is data and work.config == config:
+    """The enclosing ``shared_work`` memo of this dataset and config, else a fresh one."""
+    work = (_ACTIVE_WORK.get() or {}).get(id(data))
+    if work is not None and work.config == config:
         return work
-    return _DatasetWork(data, config)
+    return _DatasetWork(data, config, starting_values(data))
 
 
 # ---------------------------------------------------------------------------
@@ -996,29 +994,22 @@ def fit(
     return _FITTERS[kind](data, config)
 
 
-def shared_work(data: ObservationSet, config: SolverConfig = SolverConfig()):
-    """Let the fits of ``data`` made inside the block share their common work.
-
-    Inside the block, fits of this very ``data`` object under an equal
-    ``config`` compute the start point, the MLE and the MPLE at most once
-    (see the module docstring).  Their results are identical to fits made
-    outside the block.  The memo is dropped when the block ends.
-
-    The study harness and the bootstrap open these blocks with the memo's
-    start pre-filled from :func:`batch_starting_values`, which equals
-    ``starting_values(data)``, so their fits are those of a plain block.
-    """
-    return _shared_work(data, config)
-
-
 @contextmanager
-def _shared_work(data: ObservationSet, config: SolverConfig, start: EmaxParams | None = None):
-    """:func:`shared_work`, with the memo's start pre-filled when ``start`` is given.
+def shared_work(datasets: Sequence[ObservationSet], config: SolverConfig = SolverConfig()):
+    """Let the fits of ``datasets`` made inside the block share their common work.
 
-    ``start`` must equal ``starting_values(data)``; take it from
-    :func:`batch_starting_values`.
+    On entry the start grids of all ``datasets`` are solved in one
+    :func:`batch_starting_values` call, so they must have equal arm counts
+    (else ``ValueError``).  Inside the block, fits of one of these very
+    dataset objects under an equal ``config`` compute its start point, MLE
+    and MPLE at most once (see the module docstring); any other fit gets a
+    fresh memo.  Every result is identical to a fit made outside the block.
+    The memos are dropped when the block ends.
     """
-    token = _ACTIVE_WORK.set(_DatasetWork(data, config, start))
+    starts = batch_starting_values(datasets)
+    token = _ACTIVE_WORK.set(
+        {id(d): _DatasetWork(d, config, start) for d, start in zip(datasets, starts)}
+    )
     try:
         yield
     finally:
@@ -1034,7 +1025,7 @@ def fit_all(
 
     Returns one result per entry of ``kinds``, in order, each equal to what
     ``fit(kind, data, config)`` returns.  Every entry goes through one
-    :func:`fit` call inside :func:`shared_work`.
+    :func:`fit` call inside ``shared_work([data], config)``.
     """
-    with shared_work(data, config):
+    with shared_work([data], config):
         return [fit(kind, data, config) for kind in kinds]

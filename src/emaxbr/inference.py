@@ -11,21 +11,21 @@ bands are deterministic regardless of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import norm
 
-from ._pool import chunks, pool_map
+from ._pool import map_chunks
 from .estimators import (
     EstimatorKind,
     FitStatus,
     SingularInformation,
     SolverConfig,
     StatusReason,
-    _shared_work,
-    batch_starting_values,
     fit,
     penalized_hessian,
+    shared_work,
 )
 from .model import EmaxParams, ObservationSet, hessian, invert_information, predict_prob
 
@@ -156,21 +156,21 @@ def _resample(data: ObservationSet, rng: np.random.Generator) -> ObservationSet:
     return ObservationSet(data.doses, data.n, events.astype(float))
 
 
-def _boot_chunk(args) -> list[np.ndarray | None]:
-    """Fitted probabilities of a chunk of refits (None where a refit fails).
+def _boot_chunk(data, kind, doses, seed, config, reps) -> list[np.ndarray | None]:
+    """Fitted probabilities of refits ``reps`` (None where a refit fails).
 
-    The chunk's resamples get their starts from one batched grid solve.
+    The resamples are refitted inside one shared-work block, which solves
+    their start grids in one batch.
     """
-    data, kind, doses, seed, reps, config = args
     samples = [_resample(data, np.random.default_rng([seed, r])) for r in reps]
     out = []
-    for sample, start in zip(samples, batch_starting_values(samples)):
-        with _shared_work(sample, config, start):
+    with shared_work(samples, config):
+        for sample in samples:
             res = fit(kind, sample, config)
-        if res.status is FitStatus.FailedToEstimate or res.params is None:
-            out.append(None)
-        else:
-            out.append(np.asarray(predict_prob(res.params, doses)))
+            if res.status is FitStatus.FailedToEstimate or res.params is None:
+                out.append(None)
+            else:
+                out.append(np.asarray(predict_prob(res.params, doses)))
     return out
 
 
@@ -192,12 +192,12 @@ def bootstrap_bands(
     collected into a fixed order before the percentiles, so any execution
     schedule yields identical bands.
 
-    The refits are cut into contiguous chunks of at most 64, and into at
-    least one chunk per worker.  A chunk draws its resamples, solves their
-    start grids in one batch (see
-    :func:`~emaxbr.estimators.batch_starting_values`), and refits each one
-    with a single :func:`~emaxbr.estimators.fit` call inside a
-    :func:`~emaxbr.estimators.shared_work` block that holds its start; the
+    The point fit is one :func:`~emaxbr.estimators.fit` call; made inside
+    a :func:`~emaxbr.estimators.shared_work` block that holds ``data``, it
+    reuses the block's fit.  The refits are cut into contiguous chunks of
+    at most 64, and into at least one chunk per worker.  A chunk draws its
+    resamples and refits each one with a single ``fit`` call inside one
+    ``shared_work`` block, which solves their start grids in one batch; the
     fits are those of a refit-by-refit loop.  Chunks fan out over
     ``EMAXBR_THREADS`` processes from 200 refits on, and run serially below.
     """
@@ -211,8 +211,8 @@ def bootstrap_bands(
         raise PointFitFailed(kind, point_fit.status_reason, n_boot)
     point = np.asarray(predict_prob(point_fit.params, doses))
 
-    jobs = [(data, kind, doses, seed, reps, config) for reps in chunks(n_boot)]
-    results = [p for ps in pool_map(_boot_chunk, jobs, serial=n_boot < 200) for p in ps]
+    chunk = partial(_boot_chunk, data, kind, doses, seed, config)
+    results = map_chunks(chunk, range(n_boot), serial=n_boot < 200)
 
     kept = [r for r in results if r is not None]
     n_failed = n_boot - len(kept)

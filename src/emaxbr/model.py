@@ -198,7 +198,9 @@ def eta(params: EmaxParams, dose: float | np.ndarray) -> float | np.ndarray:
     Exactly ``e0`` at dose 0, approaching ``e0 + emax`` as dose grows.
     """
     dose = np.asarray(dose, dtype=float)
-    out = params.e0 + params.emax * dose / (np.exp(params.phi) + dose)
+    # exp(phi) overflows to inf past phi ~ 709, where dose / inf = 0 is the limit.
+    with np.errstate(over="ignore"):
+        out = params.e0 + params.emax * dose / (np.exp(params.phi) + dose)
     return float(out) if out.ndim == 0 else out
 
 

@@ -18,24 +18,23 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import expit
 
-from ._pool import chunks, pool_map
+from ._pool import map_chunks
 from .diagnostics import Shape, classify_shape
 from .estimators import (
     EstimatorKind,
+    FitResult,
     FitStatus,
-    QuadraticLogitFit,
     SolverConfig,
     StatusReason,
-    _shared_work,
-    batch_starting_values,
     fit,
-    fit_quadratic_logit,
+    shared_work,
 )
-from .model import EmaxParams, ObservationSet, predict_prob
+from .model import EmaxParams, ObservationSet
 
 __all__ = [
     "SimStudy",
@@ -43,11 +42,9 @@ __all__ = [
     "SimMetrics",
     "AuditRow",
     "ShapeUnreachable",
-    "QuadraticLogitFit",
     "generate_dataset",
     "run_study",
     "run_shape_conditioned_study",
-    "fit_quadratic_logit",
     "emit_table",
     "load_study",
 ]
@@ -172,54 +169,36 @@ def generate_dataset(study: SimStudy, rep_index: int) -> ObservationSet:
     return ObservationSet(doses, study.arm_sizes().astype(float), events)
 
 
-def _fit_reps(args) -> list[AuditRow]:
-    study, reps = args
-    return _fit_datasets(study, reps, [generate_dataset(study, r) for r in reps])
+def _fit_reps(study: SimStudy, reps) -> list[AuditRow]:
+    """Audit rows of replicates ``reps``, drawn and fitted in one shared-work block."""
+    datasets = [generate_dataset(study, r) for r in reps]
+    with shared_work(datasets, study.solver):
+        return [
+            _audit_row(rep, kind, fit(kind, data, study.solver))
+            for rep, data in zip(reps, datasets)
+            for kind in study.estimators
+        ]
 
 
-def _fit_kept(args) -> list[AuditRow]:
-    study, kept = args
-    return _fit_datasets(study, [rep for rep, _ in kept], [data for _, data in kept])
-
-
-def _fit_datasets(study: SimStudy, reps, datasets: list[ObservationSet]) -> list[AuditRow]:
-    """Audit rows of a chunk of datasets, whose starts are solved in one batch."""
-    starts = batch_starting_values(datasets)
-    return [
-        row
-        for rep, data, start in zip(reps, datasets, starts)
-        for row in _fit_dataset(study, rep, data, start)
-    ]
-
-
-def _fit_dataset(
-    study: SimStudy, rep: int, data: ObservationSet, start: EmaxParams
-) -> list[AuditRow]:
-    rows = []
-    with _shared_work(data, study.solver, start):
-        results = [fit(kind, data, study.solver) for kind in study.estimators]
-    for kind, res in zip(study.estimators, results):
-        est = res.params.as_array() if res.params is not None else (None,) * 3
-        se = res.std_errors if res.std_errors is not None else (None,) * 3
-        rows.append(
-            AuditRow(
-                rep=rep,
-                estimator=kind.value,
-                status=(
-                    res.status.value
-                    if res.status_reason is StatusReason.NONE
-                    else f"{res.status.value}:{res.status_reason.value}"
-                ),
-                e0=_opt(est[0]),
-                emax=_opt(est[1]),
-                log_ed50=_opt(est[2]),
-                se_e0=_opt(se[0]),
-                se_emax=_opt(se[1]),
-                se_log_ed50=_opt(se[2]),
-                iterations=res.iterations,
-            )
-        )
-    return rows
+def _audit_row(rep: int, kind: EstimatorKind, res: FitResult) -> AuditRow:
+    est = res.params.as_array() if res.params is not None else (None,) * 3
+    se = res.std_errors if res.std_errors is not None else (None,) * 3
+    return AuditRow(
+        rep=rep,
+        estimator=kind.value,
+        status=(
+            res.status.value
+            if res.status_reason is StatusReason.NONE
+            else f"{res.status.value}:{res.status_reason.value}"
+        ),
+        e0=_opt(est[0]),
+        emax=_opt(est[1]),
+        log_ed50=_opt(est[2]),
+        se_e0=_opt(se[0]),
+        se_emax=_opt(se[1]),
+        se_log_ed50=_opt(se[2]),
+        iterations=res.iterations,
+    )
 
 
 def _opt(v) -> float | None:
@@ -278,20 +257,15 @@ def run_study(study: SimStudy) -> SimMetrics:
     """Fit every estimator on every replicate and aggregate.
 
     The replicates are cut into contiguous chunks of at most 64, and into
-    at least one chunk per worker.  A chunk draws its datasets, solves their
-    start grids in one batch (see
-    :func:`~emaxbr.estimators.batch_starting_values`), and fits each dataset
-    with one :func:`~emaxbr.estimators.fit` call per estimator inside a
-    :func:`~emaxbr.estimators.shared_work` block that holds its start.
-    Chunks may fan out over ``EMAXBR_THREADS`` processes; results are
-    reassembled in replicate order before aggregation, so the output is
-    byte-identical for any worker count, and to fitting the replicates one
-    by one.
+    at least one chunk per worker.  A chunk draws its datasets and fits
+    them inside one :func:`~emaxbr.estimators.shared_work` block, which
+    solves their start grids in one batch; each (replicate, estimator) is
+    one :func:`~emaxbr.estimators.fit` call.  Chunks may fan out over
+    ``EMAXBR_THREADS`` processes; results are reassembled in replicate
+    order before aggregation, so the output is byte-identical for any
+    worker count, and to fitting the replicates one by one.
     """
-    jobs = [(study, reps) for reps in chunks(study.n_reps)]
-    results = pool_map(_fit_reps, jobs)
-    audit = [row for rows in results for row in rows]
-    return _aggregate(study, audit)
+    return _aggregate(study, map_chunks(partial(_fit_reps, study), range(study.n_reps)))
 
 
 def run_shape_conditioned_study(
@@ -300,30 +274,26 @@ def run_shape_conditioned_study(
     """Rejection-sample datasets matching ``target_shape``, then aggregate.
 
     Draw index ``r`` advances through the study's replicate streams until
-    ``n_keep`` datasets classify as the target shape; those are fitted and
-    aggregated exactly as in :func:`run_study`, in chunks, with the
+    ``n_keep`` datasets classify as the target shape; the kept replicate
+    indices are then fitted and aggregated exactly as in :func:`run_study`,
+    in chunks that redraw their datasets from the same streams, with the
     acceptance rate recorded.  If fewer than one in 10^4 of the first 10^5
     draws match, the shape is declared unreachable.
     """
     if len(study.doses) != 3:
         raise ValueError("shape-conditioned studies require a 3-arm design")
-    kept: list[tuple[int, ObservationSet]] = []
+    kept: list[int] = []
     r = 0
     while len(kept) < n_keep:
         if r >= 100_000 and len(kept) / r < 1e-4:
             raise ShapeUnreachable(
                 f"acceptance rate {len(kept)}/{r} below 1e-4 for {target_shape}"
             )
-        data = generate_dataset(study, r)
-        if classify_shape(data) is target_shape:
-            kept.append((r, data))
+        if classify_shape(generate_dataset(study, r)) is target_shape:
+            kept.append(r)
         r += 1
-    rate = len(kept) / r
-
-    jobs = [(study, kept[reps.start : reps.stop]) for reps in chunks(len(kept))]
-    results = pool_map(_fit_kept, jobs)
-    audit = [row for rows in results for row in rows]
-    return _aggregate(study, audit, acceptance_rate=rate, n_reps=n_keep)
+    audit = map_chunks(partial(_fit_reps, study), kept)
+    return _aggregate(study, audit, acceptance_rate=len(kept) / r, n_reps=n_keep)
 
 
 _TABLE_COLUMNS = (

@@ -73,7 +73,7 @@ def _assert_rows_match_loop(study: SimStudy, audit, kept: list[tuple[int, Observ
     assert len(audit) == len(kept) * len(study.estimators)
     rows = iter(audit)
     for rep, data in kept:
-        with shared_work(data, study.solver):
+        with shared_work([data], study.solver):
             results = [fit(kind, data, study.solver) for kind in study.estimators]
         for kind, res in zip(study.estimators, results):
             row = next(rows)

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from emaxbr.cli import main
+from emaxbr import EstimatorKind, bootstrap_bands, estimators, fit
+from emaxbr.cli import _read_data, main
 
 TURANDOT_CSV = """dose,n,events
 0,67,2
@@ -170,6 +171,31 @@ class TestFitCommand:
         assert [b["dose"] for b in bands] == [0.0, 50.0]
         for b in bands:
             assert 0.0 <= b["lower"] <= b["point"] <= b["upper"] <= 1.0
+
+    def test_bootstrap_reuses_the_point_fit(self, clean_path, capsys, monkeypatch):
+        monkeypatch.setenv("EMAXBR_THREADS", "1")
+        solves = []
+        solve = estimators._solve_mple
+        monkeypatch.setattr(estimators, "_solve_mple", lambda work: solves.append(1) or solve(work))
+        code, out = _run(
+            ["fit", "--data", clean_path, "--estimator", "mple", "--boot", "100", "--seed", "4"],
+            capsys,
+        )
+        assert code == 0
+        # One point fit shared by the report and the bands, then 100 refits.
+        assert len(solves) == 101
+        monkeypatch.setattr(estimators, "_solve_mple", solve)
+
+        data = _read_data(clean_path, "aggregated")
+        point = fit(EstimatorKind.MPLE, data)
+        bands = bootstrap_bands(data, EstimatorKind.MPLE, data.doses, n_boot=100, seed=4)
+        report = json.loads(out)
+        assert report["fits"][0]["estimate"] == dict(
+            zip(("e0", "emax", "log_ed50"), map(float, point.params.as_array()))
+        )
+        assert report["bootstrap"]["bands"]["mple"] == [
+            {"dose": b.dose, "point": b.point, "lower": b.lower, "upper": b.upper} for b in bands
+        ]
 
     def test_bootstrap_failure_reported_inline(self, separated_path, capsys):
         code, out = _run(

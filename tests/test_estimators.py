@@ -14,6 +14,7 @@ from emaxbr import (
     StatusReason,
     cox_snell_bias,
     cumulant_bundle,
+    batch_starting_values,
     deriv_tensors,
     expected_information,
     firth_modified_score,
@@ -32,6 +33,7 @@ from emaxbr import (
     penalized_score,
     predict_prob,
     score,
+    shared_work,
     starting_values,
 )
 
@@ -563,7 +565,7 @@ class TestFitAll:
         _assert_same_fit(results[0], results[2])
 
     def test_shared_work_runs_once(self, monkeypatch):
-        calls = {"start": 0, "mle": 0, "mple": 0}
+        calls = {"start": 0, "batch": 0, "mle": 0, "mple": 0}
 
         def counting(key, fn):
             def wrapped(*args):
@@ -573,16 +575,80 @@ class TestFitAll:
             return wrapped
 
         monkeypatch.setattr(estimators, "starting_values", counting("start", starting_values))
+        monkeypatch.setattr(
+            estimators, "batch_starting_values", counting("batch", batch_starting_values)
+        )
         monkeypatch.setattr(estimators, "_solve_mle", counting("mle", estimators._solve_mle))
         monkeypatch.setattr(estimators, "_solve_mple", counting("mple", estimators._solve_mple))
         d = _simulate(TRUTH, DOSES5, 50, seed=5)
         fit_all(d, list(EstimatorKind))
-        assert calls == {"start": 1, "mle": 1, "mple": 1}
+        assert calls == {"start": 0, "batch": 1, "mle": 1, "mple": 1}
+
+        batch = [_simulate(TRUTH, DOSES5, 50, seed=s) for s in range(3)]
+        with shared_work(batch):
+            for data in batch:
+                for kind in EstimatorKind:
+                    fit(kind, data)
+        assert calls == {"start": 0, "batch": 2, "mle": 4, "mple": 4}
 
     def test_memo_ends_with_the_call(self):
         d = _simulate(TRUTH, DOSES5, 50, seed=5)
+        with shared_work([d]):
+            assert estimators._ACTIVE_WORK.get() is not None
+        assert estimators._ACTIVE_WORK.get() is None
         fit_all(d, [EstimatorKind.MLE])
         assert estimators._ACTIVE_WORK.get() is None
         with pytest.raises(KeyError):
             fit_all(d, [EstimatorKind.MLE, "not-a-kind"])
+        assert estimators._ACTIVE_WORK.get() is None
+
+
+# A short iteration cap keeps Firth's multi-start search brief on degenerate
+# arms; shared and standalone fits must agree under any configuration.
+_SHORT = SolverConfig(max_iter=100)
+
+
+@st.composite
+def equal_arm_batches(draw) -> list[ObservationSet]:
+    """1-20 drawn datasets of one arm count, plus the fixed degenerate ones of that count."""
+    m = draw(st.integers(2, 6))
+    drawn = draw(st.lists(datasets(arms=m), min_size=1, max_size=20))
+    return drawn + [d for d in (SEPARATED, ALL_ZERO, ALL_N) if len(d.doses) == m]
+
+
+class TestSharedWork:
+    @given(equal_arm_batches(), st.randoms(use_true_random=False))
+    @settings(max_examples=15, deadline=None)
+    def test_every_fit_in_a_batch_block_equals_a_standalone_fit(self, batch, random):
+        alone = {(id(d), k): fit(k, d, _SHORT) for d in batch for k in EstimatorKind}
+        for order in (batch, random.sample(batch, len(batch))):
+            with shared_work(order, _SHORT):
+                for d in order:
+                    for kind in EstimatorKind:
+                        _assert_same_fit(fit(kind, d, _SHORT), alone[(id(d), kind)])
+
+    def test_other_datasets_and_configs_get_a_fresh_memo(self, monkeypatch):
+        inside = _simulate(TRUTH, DOSES5, 50, seed=5)
+        outside = _simulate(TRUTH, DOSES5, 50, seed=6)
+        twin = ObservationSet(inside.doses, inside.n, inside.events)
+        other = SolverConfig(max_iter=300)
+        cases = [(outside, _SHORT), (twin, _SHORT), (inside, other)]
+        alone = [[fit(k, d, c) for k in EstimatorKind] for d, c in cases]
+        fresh = []
+        monkeypatch.setattr(
+            estimators, "starting_values", lambda d: fresh.append(d) or starting_values(d)
+        )
+        with shared_work([inside], _SHORT):
+            for i, kind in enumerate(EstimatorKind):
+                fit(kind, inside, _SHORT)
+                for (d, c), results in zip(cases, alone):
+                    _assert_same_fit(fit(kind, d, c), results[i])
+        # Every fit but those of the block's own memo starts a fresh memo.
+        assert len(fresh) == 3 * len(EstimatorKind)
+        assert sum(d is inside for d in fresh) == len(EstimatorKind)
+
+    def test_unequal_arm_counts_raise_on_entry(self):
+        with pytest.raises(ValueError, match="arm counts"):
+            with shared_work([SEPARATED, ALL_ZERO]):
+                pytest.fail("the block body ran")
         assert estimators._ACTIVE_WORK.get() is None

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from emaxbr import (
     EmaxParams,
@@ -81,6 +84,14 @@ class TestEta:
     def test_half_effect_at_ed50(self):
         p = EmaxParams(0.0, 2.0, np.log(40.0))
         assert eta(p, 40.0) == pytest.approx(1.0)
+
+    def test_huge_log_ed50_is_silent_and_flat(self):
+        doses = np.array([0.0, 7.5, 225.0, 1e6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(
+                predict_prob(EmaxParams(-1.0, 2.0, 1e3), doses), np.full(4, expit(-1.0))
+            )
 
     def test_predict_prob_in_unit_interval(self, rng):
         for _ in range(20):

@@ -104,9 +104,9 @@ def _check_against_oracle(data: ObservationSet) -> list[str]:
 
 
 @st.composite
-def datasets(draw) -> ObservationSet:
-    """2-6 arms; events free, separated either way, all zero, or all ``n``."""
-    m = draw(st.integers(2, 6))
+def datasets(draw, arms: int | None = None) -> ObservationSet:
+    """2-6 arms (or ``arms``); events free, separated either way, all zero, or all ``n``."""
+    m = draw(st.integers(2, 6)) if arms is None else arms
     positive = draw(st.lists(st.integers(1, 300), min_size=m - 1, max_size=m - 1, unique=True))
     doses = np.r_[0.0, np.sort(positive)].astype(float)
     n = np.array(draw(st.lists(st.integers(1, 60), min_size=m, max_size=m)), dtype=float)
