@@ -16,8 +16,14 @@ Measures, against the emaxbr sources under ``--src``:
   replicates of that cell, each dataset alone, and in one 64-dataset batch
   (``batch_starting_values``; sources without it run the 64 datasets one
   by one);
+* microseconds per dataset of the MLE and of the MPLE ascent on those 64
+  datasets from their start points, each dataset alone and all 64 in one
+  batch (the private ``_solve_mle``/``_solve_mple``; sources whose solvers
+  take one memo run the 64 datasets one by one);
 * milliseconds per ``bootstrap_bands`` call of the MPLE with 200 refits on
-  replicate 0 of that cell, with one worker.
+  replicate 0 of that cell, with one worker;
+* seconds and peak resident megabytes of a fresh ``python -c "import
+  emaxbr"`` process (median of 5).
 
 Every figure is the median over ``--repeats`` runs.  Results go into the
 ``--out`` JSON under ``--label``; other labels already in the file are
@@ -37,9 +43,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "EMAXBR_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import inspect
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -71,6 +79,41 @@ def _jacobian_calls(emaxbr, data):
         "penalized": lambda: est._penalized_jacobian_at(pt, data),
         "firth": lambda: est._modified_jacobian_at(pt, data),
     }
+
+
+def _solve_calls(emaxbr, datasets):
+    """MLE and MPLE solves of ``datasets`` from their starts: alone and as one batch."""
+    est = emaxbr.estimators
+    config = emaxbr.SolverConfig()
+    starts = emaxbr.batch_starting_values(datasets)
+
+    def memos():
+        return [est._DatasetWork(d, config, s) for d, s in zip(datasets, starts)]
+
+    calls = {}
+    for kind, solve in (("mle", est._solve_mle), ("mple", est._solve_mple)):
+        if "works" in inspect.signature(solve).parameters:
+            calls[f"{kind}_alone"] = lambda solve=solve: [solve([w]) for w in memos()]
+            calls[f"{kind}_batch64"] = lambda solve=solve: solve(memos())
+        else:
+            calls[f"{kind}_alone"] = lambda solve=solve: [solve(w) for w in memos()]
+            calls[f"{kind}_batch64"] = calls[f"{kind}_alone"]
+    return calls
+
+
+def _import_probe(src: Path, repeats: int = 5) -> dict:
+    """Median wall seconds and peak RSS (MB) of fresh ``import emaxbr`` processes."""
+    code = "import resource, emaxbr; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    secs, rss = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        secs.append(time.perf_counter() - t0)
+        rss.append(int(out.stdout) / 1024.0)
+    return {"import_s": statistics.median(secs), "import_rss_mb": statistics.median(rss)}
 
 
 def measure(emaxbr, repeats: int) -> dict:
@@ -107,6 +150,8 @@ def measure(emaxbr, repeats: int) -> dict:
         "batch64": lambda: batch(starts),
     }
 
+    solve_calls = _solve_calls(emaxbr, starts)
+    solve_us = {name: [] for name in solve_calls}
     jac_calls = _jacobian_calls(emaxbr, golden)
     jac = {name: [] for name in jac_calls}
     fits = {(ds, k.value): [] for ds in ("golden", "far_ed50") for k in kinds}
@@ -122,6 +167,8 @@ def measure(emaxbr, repeats: int) -> dict:
                 fits[(ds, kind.value)].append(1e3 * per)
         for name, fn in start_calls.items():
             start_us[name].append(1e6 * _per_call(fn, 0.3) / len(starts))
+        for name, fn in solve_calls.items():
+            solve_us[name].append(1e6 * _per_call(fn, 0.3) / len(starts))
         t0 = time.perf_counter()
         emaxbr.run_study(cell)
         rates.append(cell.n_reps / (time.perf_counter() - t0))
@@ -139,7 +186,14 @@ def measure(emaxbr, repeats: int) -> dict:
         "starting_values_us_per_dataset": {
             k: statistics.median(v) for k, v in start_us.items()
         },
+        "mle_us_per_dataset": {
+            k.split("_")[1]: statistics.median(v) for k, v in solve_us.items() if k[:4] == "mle_"
+        },
+        "mple_us_per_dataset": {
+            k.split("_")[1]: statistics.median(v) for k, v in solve_us.items() if k[:5] == "mple_"
+        },
         "bootstrap_mple_200_ms": statistics.median(boot_ms),
+        **_import_probe(Path(emaxbr.__file__).resolve().parent.parent),
         "repeats": repeats,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

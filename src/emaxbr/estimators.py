@@ -70,6 +70,7 @@ import enum
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import partial
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -81,12 +82,14 @@ from .model import (
     EmaxParams,
     ObservationSet,
     SingularInformation,
+    arm_sum,
     deriv_tensors,
     hessian_from,
     information_from,
     invert_information,
     log_likelihood_from,
     score_from,
+    stacked_deriv_tensors,
 )
 
 __all__ = [
@@ -278,13 +281,20 @@ def _inverse_or_none(a: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes."""
+    return np.swapaxes(x, -1, -2)
+
+
 class _Point(NamedTuple):
     """Per-arm quantities at one point, with ``I^{-1}`` the (pseudo-)inverse information.
 
     With the weights ``w = n pi (1-pi)`` and ``w3 = w (1-2 pi)``, the Firth
     adjustment is ``0.5 sum_i (w3 lev_i + w trh_i) g_i``, the penalized one
     ``0.5 sum_i w3 lev_i g_i + sum_i w ha_i`` and the Cox-Snell bias is
-    ``-I^{-1}`` times the Firth adjustment.
+    ``-I^{-1}`` times the Firth adjustment.  Built from stacked tensors,
+    every field carries their leading axis, and so does everything derived
+    from a point below.
     """
 
     tens: DerivTensors
@@ -299,12 +309,14 @@ class _Point(NamedTuple):
 
 def _point(tens: DerivTensors, data: ObservationSet, invert) -> _Point:
     inv = invert(information_from(tens, data))
+    g, h = tens.g, tens.h
     w = data.n * tens.pi * (1.0 - tens.pi)
-    a = tens.g @ inv
-    lev = np.einsum("ir,ir->i", tens.g, a)
-    trh = np.einsum("rj,irj->i", inv, tens.h)
-    ha = np.einsum("irj,ij->ir", tens.h, a)
-    return _Point(tens, inv, w, w * (1.0 - 2.0 * tens.pi), a, lev, trh, ha)
+    a = g @ inv
+    lev = (g * a).sum(axis=-1)
+    m = g.shape[-2]
+    trh = (h.reshape(g.shape[:-2] + (m, 1, 9)) @ inv.reshape(inv.shape[:-2] + (1, 9, 1)))
+    ha = (h @ a[..., None])[..., 0]
+    return _Point(tens, inv, w, w * (1.0 - 2.0 * tens.pi), a, lev, trh[..., 0, 0], ha)
 
 
 def _leverage_jacobian(pt: _Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,13 +327,18 @@ def _leverage_jacobian(pt: _Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eta-derivative ``w (1 - 6 pi + 6 pi^2)``.  ``d_info_a[i, r, t] = (dI_t a_i)_r``.
     """
     g, h, pi = pt.tens.g, pt.tens.h, pt.tens.pi
-    hg = np.einsum("i,irt,ij->trj", pt.w, h, g)
-    d_info = np.einsum("i,it,ir,ij->trj", pt.w3, g, g, g) + hg + hg.transpose(0, 2, 1)
-    d_info_a = np.einsum("trj,ij->irt", d_info, pt.a)
-    dlev = 2.0 * pt.ha - np.einsum("ir,irt->it", pt.a, d_info_a)
+    lead = g.shape[:-1]  # (..., M)
+    gg = (g[..., :, None] * g[..., None, :]).reshape(lead + (9,))
+    # Products over the arms, indexed (t, r, j) after the reshape.
+    ggg = (_t(pt.w3[..., None] * gg) @ g).reshape(lead[:-1] + (3, 3, 3))
+    hg = (_t(pt.w[..., None] * h.reshape(lead + (9,))) @ g).reshape(lead[:-1] + (3, 3, 3))
+    hg = np.swapaxes(hg, -3, -2)
+    d_info = ggg + hg + _t(hg)
+    d_info_a = _t((pt.a @ _t(d_info.reshape(lead[:-1] + (9, 3)))).reshape(lead + (3, 3)))
+    dlev = 2.0 * pt.ha - (pt.a[..., None, :] @ d_info_a)[..., 0, :]
     w2 = pt.w * (1.0 - 6.0 * pi * (1.0 - pi))
-    d_w3_lev = (w2 * pt.lev)[:, None] * g + pt.w3[:, None] * dlev
-    jac = 0.5 * (g.T @ d_w3_lev + np.einsum("i,ist->st", pt.w3 * pt.lev, h))
+    d_w3_lev = (w2 * pt.lev)[..., None] * g + pt.w3[..., None] * dlev
+    jac = 0.5 * (_t(g) @ d_w3_lev + arm_sum(pt.w3 * pt.lev, h))
     return jac, d_info, d_info_a
 
 
@@ -332,30 +349,52 @@ def _leverage_jacobian(pt: _Point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _DatasetWork:
     """Memo of the work the estimators share on one dataset.
 
-    Holds the start point, given when the memo is built, and the MLE and
-    MPLE fits, each solved on first request.  Every fitter obtains one
-    through :func:`_work`.
+    Holds the start point, given when the memo is built, and one fit per
+    estimator, each solved on first request.  ``block`` lists the memos
+    whose MLE and MPLE are solved together: the first request for either on
+    any of them solves it for every memo of the block in one batch.  Every
+    fitter obtains a memo through :func:`_work`.
     """
 
     def __init__(self, data: ObservationSet, config: SolverConfig, start: EmaxParams):
         self.data = data
         self.config = config
-        self._start = start
-        self._mle: FitResult | None = None
-        self._mple: FitResult | None = None
+        self.start = start.as_array()
+        self.block = [self]
+        self.fits: dict[EstimatorKind, FitResult] = {}
 
-    def start(self) -> np.ndarray:
-        return self._start.as_array()
+    def fit(self, kind: EstimatorKind) -> FitResult:
+        if kind not in self.fits:
+            if kind is EstimatorKind.MLE or kind is EstimatorKind.MPLE:
+                todo = [w for w in self.block if kind not in w.fits]
+                solve = _solve_mle if kind is EstimatorKind.MLE else _solve_mple
+                for work, res in zip(todo, solve(todo)):
+                    work.fits[kind] = res
+            elif kind is EstimatorKind.CoxSnell:
+                self.fits[kind] = _solve_cox_snell(self)
+            else:
+                self.fits[kind] = _solve_firth(self)
+        return self.fits[kind]
 
-    def mle(self) -> FitResult:
-        if self._mle is None:
-            self._mle = _solve_mle(self)
-        return self._mle
 
-    def mple(self) -> FitResult:
-        if self._mple is None:
-            self._mple = _solve_mple(self)
-        return self._mple
+class _Stack(NamedTuple):
+    """The arms of several datasets with equal arm counts, one row each."""
+
+    doses: np.ndarray
+    n: np.ndarray
+    events: np.ndarray
+
+    @classmethod
+    def of(cls, datasets: Sequence[ObservationSet]) -> "_Stack":
+        return cls(*(np.stack([getattr(d, f) for d in datasets]) for f in cls._fields))
+
+    def rows(self, idx: np.ndarray) -> "_Stack":
+        return _Stack(self.doses[idx], self.n[idx], self.events[idx])
+
+    def tensors(self, theta: np.ndarray, idx: np.ndarray) -> tuple[DerivTensors, "_Stack"]:
+        """Tensors of rows ``idx`` at their points ``theta``, and those rows."""
+        rows = self.rows(idx)
+        return stacked_deriv_tensors(theta, rows.doses), rows
 
 
 # The memos of the enclosing shared_work block by dataset identity, if any;
@@ -510,66 +549,120 @@ def _grid_batch(datasets: Sequence[ObservationSet]) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 class _Ascent(NamedTuple):
-    """Where :func:`_ascend` stopped; ``reason`` is ``NONE`` at a maximizer."""
+    """Where :func:`_ascend` stopped, one row per objective.
+
+    ``reasons[r]`` is ``NONE`` where row ``r`` stopped at a maximizer;
+    ``hessian[r]`` is the Hessian at ``theta[r]``.
+    """
 
     theta: np.ndarray
-    state: object
     hessian: np.ndarray
-    iterations: int
-    reason: StatusReason
+    iterations: np.ndarray
+    reasons: list[StatusReason]
 
 
 def _ascend(theta0: np.ndarray, value, derivs, diverged, config: SolverConfig) -> _Ascent:
-    """Maximize an objective by modified-Newton ascent with an Armijo line search.
+    """Maximize ``R`` objectives side by side by modified-Newton ascent.
 
-    ``value(theta) -> (f, state)`` gives the objective at a trial point (a
-    non-finite ``f`` marks the point out of bounds); ``derivs(state) ->
-    (gradient, Hessian)`` is called only at accepted points; ``diverged(theta)``
-    is the objective's own test for running off to infinity.
+    Row ``r`` of ``theta0`` (shape ``(R, p)``) starts the ascent of objective
+    ``r``.  The callbacks act on stacks of rows: ``value(theta, idx)`` gives
+    the objective values of rows ``idx`` at the points ``theta`` (a
+    non-finite value marks a point out of bounds); ``derivs(theta, idx) ->
+    (gradient, Hessian)`` is called only at accepted points;
+    ``diverged(theta, idx)`` flags the rows running off to infinity.
 
-    Each iterate floors the Hessian's eigenvalues at
-    ``-1e-8 * max(1, |lambda|_max)``, so the step ascends even where the
-    curvature is indefinite, caps the step norm at 5, and halves the step up
-    to 40 times until the Armijo condition with constant 1e-4 holds.  The
-    ascent stops at a maximizer when ``max|g| <= grad_tol``, or when the line
-    search fails with ``max|g| <= 1e-4``; it ends ``NON_CONVERGENCE`` when
-    the line search fails otherwise or after ``max_iter`` iterates, and
-    ``NON_FINITE`` when ``diverged`` holds or ``theta``, the gradient or the
-    Hessian is not finite.  The returned Hessian is the one at the returned
-    point.
+    Each row follows the rules of a lone ascent, with its own masks for
+    still ascending and still searching a line.  Each iterate floors the
+    Hessian's eigenvalues at ``-1e-8 * max(1, |lambda|_max)``, so the step
+    ascends even where the curvature is indefinite, caps the step norm at
+    5, and halves the step up to 40 times until the Armijo condition with
+    constant 1e-4 holds.  A row stops at a maximizer when ``max|g| <=
+    grad_tol``, or when its line search fails with ``max|g| <= 1e-4``; it
+    ends ``NON_CONVERGENCE`` when its line search fails otherwise or after
+    ``max_iter`` iterates, and ``NON_FINITE`` when ``diverged`` holds or its
+    point, gradient or Hessian is not finite.
+
+    Every operation acts row by row (stacked ``@`` and LAPACK calls, sums
+    along a row's own entries), and the callbacks must too, so a row's
+    result does not depend on the other rows.
     """
-    theta = theta0
-    f, state = value(theta)
-    g, hess = derivs(state)
+    theta = np.array(theta0, dtype=float)
+    every = np.arange(len(theta))
+    f = value(theta, every)
+    g, hess = derivs(theta, every)
+    iterations = np.full(len(theta), config.max_iter)
+    reasons = [StatusReason.NON_CONVERGENCE] * len(theta)
+
+    def stop(idx, reason, it):
+        if idx.size:
+            iterations[idx] = it
+            for r in idx:
+                reasons[r] = reason
+
+    live = every
     it = 0
-    while it < config.max_iter:
-        it += 1
-        if not all(np.isfinite(v).all() for v in (theta, g, hess)):
-            return _Ascent(theta, state, hess, it, StatusReason.NON_FINITE)
-        if np.max(np.abs(g)) <= config.grad_tol:
-            return _Ascent(theta, state, hess, it, StatusReason.NONE)
-        if diverged(theta):
-            return _Ascent(theta, state, hess, it, StatusReason.NON_FINITE)
-        eigval, eigvec = np.linalg.eigh(hess)
-        floor = -1e-8 * max(1.0, float(np.max(np.abs(eigval))))
-        step = -eigvec @ ((eigvec.T @ g) / np.minimum(eigval, floor))
-        norm = float(np.linalg.norm(step))
-        if norm > 5.0:
-            step *= 5.0 / norm
-        lam = 1.0
-        for _ in range(40):
-            cand = theta + lam * step
-            fc, cand_state = value(cand)
-            if np.isfinite(fc) and fc > f + 1e-4 * lam * float(step @ g):
+    # Comparisons with NaN are False, which the rules below rely on.
+    with np.errstate(invalid="ignore"):
+        while live.size and it < config.max_iter:
+            it += 1
+            gl = g[live]
+            finite = (
+                np.isfinite(theta[live]).all(axis=1)
+                & np.isfinite(gl).all(axis=1)
+                & np.isfinite(hess[live]).all(axis=(1, 2))
+            )
+            gmax = np.abs(gl).max(axis=1)
+            done = finite & (gmax <= config.grad_tol)
+            bad = ~finite
+            check = finite & ~done
+            bad[check] = diverged(theta[live[check]], live[check])
+            stop(live[done], StatusReason.NONE, it)
+            stop(live[bad], StatusReason.NON_FINITE, it)
+            keep = ~(done | bad)
+            live, gl, gmax = live[keep], gl[keep], gmax[keep]
+            if not live.size:
                 break
-            lam /= 2.0
-        else:
-            stalled = np.max(np.abs(g)) <= 1e-4
-            reason = StatusReason.NONE if stalled else StatusReason.NON_CONVERGENCE
-            return _Ascent(theta, state, hess, it, reason)
-        theta, f, state = cand, fc, cand_state
-        g, hess = derivs(state)
-    return _Ascent(theta, state, hess, it, StatusReason.NON_CONVERGENCE)
+            eigval, eigvec = np.linalg.eigh(hess[live])
+            floor = -1e-8 * np.maximum(1.0, np.abs(eigval).max(axis=1))
+            coef = (_t(eigvec) @ gl[:, :, None])[:, :, 0] / np.minimum(eigval, floor[:, None])
+            step = (-eigvec @ coef[:, :, None])[:, :, 0]
+            norm = np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0])
+            long = norm > 5.0
+            step[long] *= (5.0 / norm[long])[:, None]
+            slope = (step[:, None, :] @ gl[:, :, None])[:, 0, 0]
+            lam = np.ones(live.size)
+            searching = np.ones(live.size, dtype=bool)
+            for _ in range(40):
+                sel = searching.nonzero()[0]
+                if not sel.size:
+                    break
+                cand = theta[live[sel]] + lam[sel, None] * step[sel]
+                fc = value(cand, live[sel])
+                ok = np.isfinite(fc) & (fc > f[live[sel]] + 1e-4 * lam[sel] * slope[sel])
+                took = live[sel[ok]]
+                theta[took], f[took] = cand[ok], fc[ok]
+                searching[sel[ok]] = False
+                lam[sel[~ok]] /= 2.0
+            stalled = searching & (gmax <= 1e-4)
+            stop(live[stalled], StatusReason.NONE, it)
+            stop(live[searching & ~stalled], StatusReason.NON_CONVERGENCE, it)
+            live = live[~searching]
+            if live.size:
+                g[live], hess[live] = derivs(theta[live], live)
+    return _Ascent(theta, hess, iterations, reasons)
+
+
+def _fits(works: Sequence[_DatasetWork], value, derivs, diverged) -> _Ascent:
+    """One batched ascent from the start points of ``works``, whose datasets it stacks."""
+    stack = _Stack.of([w.data for w in works])
+    theta0 = np.stack([w.start for w in works])
+    return _ascend(
+        theta0,
+        partial(value, stack),
+        partial(derivs, stack),
+        diverged,
+        works[0].config,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -582,32 +675,42 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
     Iterates drifting past the divergence bound on ``|e0|`` or ``|emax|``
     (logit magnitudes at which arm probabilities are numerically 0/1) are
     declared failures, as is a singular final curvature.  The covariance
-    is the inverse of the negative Hessian at the maximizer.
+    is the inverse of the negative Hessian at the maximizer.  Inside a
+    :func:`shared_work` block the MLE of every dataset of the block is
+    solved in one batched ascent on the first request.
     """
-    return _work(data, config).mle()
+    return _work(data, config).fit(EstimatorKind.MLE)
 
 
-def _solve_mle(work: _DatasetWork) -> FitResult:
-    data, config = work.data, work.config
+def _loglik_value(stack: _Stack, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return log_likelihood_from(*stack.tensors(theta, idx))
 
-    def value(theta):
-        tens = deriv_tensors(EmaxParams.from_array(theta), data)
-        return log_likelihood_from(tens, data), tens
 
-    def derivs(tens):
-        return score_from(tens, data), hessian_from(tens, data)
+def _loglik_derivs(stack: _Stack, theta: np.ndarray, idx: np.ndarray):
+    tens, rows = stack.tensors(theta, idx)
+    return score_from(tens, rows), hessian_from(tens, rows)
 
-    def diverged(theta):
-        return abs(theta[0]) > _DIVERGENCE_BOUND or abs(theta[1]) > _DIVERGENCE_BOUND
 
-    run = _ascend(work.start(), value, derivs, diverged, config)
-    if run.reason is not StatusReason.NONE:
-        return _failed(EstimatorKind.MLE, run.reason, run.iterations)
-    try:
-        cov = invert_information(-run.hessian)
-    except SingularInformation:
-        return _failed(EstimatorKind.MLE, StatusReason.SINGULAR_INFORMATION, run.iterations)
-    return _classify(EstimatorKind.MLE, run.theta, cov, run.iterations, data, config)
+def _logits_diverged(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return (np.abs(theta[:, :2]) > _DIVERGENCE_BOUND).any(axis=1)
+
+
+def _solve_mle(works: Sequence[_DatasetWork]) -> list[FitResult]:
+    """The MLE of each memo's dataset, all solved in one batched ascent."""
+    run = _fits(works, _loglik_value, _loglik_derivs, _logits_diverged)
+    out = []
+    for r, work in enumerate(works):
+        it, reason = int(run.iterations[r]), run.reasons[r]
+        if reason is not StatusReason.NONE:
+            out.append(_failed(EstimatorKind.MLE, reason, it))
+            continue
+        try:
+            cov = invert_information(-run.hessian[r])
+        except SingularInformation:
+            out.append(_failed(EstimatorKind.MLE, StatusReason.SINGULAR_INFORMATION, it))
+            continue
+        out.append(_classify(EstimatorKind.MLE, run.theta[r], cov, it, work.data, work.config))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +718,7 @@ def _solve_mle(work: _DatasetWork) -> FitResult:
 # ---------------------------------------------------------------------------
 
 def _bias_at(pt: _Point) -> np.ndarray:
-    return -pt.inv @ _firth_adjustment(pt)
+    return -(pt.inv @ _firth_adjustment(pt)[..., None])[..., 0]
 
 
 def cox_snell_bias(params: EmaxParams, data: ObservationSet) -> np.ndarray:
@@ -638,7 +741,12 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
     the likelihood, so the local Hessian there is not a valid curvature
     estimate (and is frequently indefinite when the correction is large).
     """
-    base = _work(data, config).mle()
+    return _work(data, config).fit(EstimatorKind.CoxSnell)
+
+
+def _solve_cox_snell(work: _DatasetWork) -> FitResult:
+    data, config = work.data, work.config
+    base = work.fit(EstimatorKind.MLE)
     if base.status is FitStatus.FailedToEstimate:
         return replace(base, kind=EstimatorKind.CoxSnell)
     try:
@@ -664,7 +772,7 @@ def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -
 # ---------------------------------------------------------------------------
 
 def _firth_adjustment(pt: _Point) -> np.ndarray:
-    return 0.5 * (pt.w3 * pt.lev + pt.w * pt.trh) @ pt.tens.g
+    return 0.5 * arm_sum(pt.w3 * pt.lev + pt.w * pt.trh, pt.tens.g)
 
 
 def _modified_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
@@ -677,16 +785,18 @@ def _modified_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
     Adds to the leverage part the derivative of ``0.5 sum_i w trh_i g_i``, where
     ``d trh_i / dtheta_t = tr(I^{-1} t_i[:, :, t]) - tr(I^{-1} dI_t I^{-1} h_i)``.
     """
-    g, h = pt.tens.g, pt.tens.h
+    g, h, t = pt.tens.g, pt.tens.h, pt.tens.t
+    lead = g.shape[:-1]  # (..., M)
     lev_jac, d_info, _ = _leverage_jacobian(pt)
-    dtrh = np.einsum("rj,irjt->it", pt.inv, pt.tens.t) - np.einsum(
-        "trj,irj->it", pt.inv @ d_info @ pt.inv, h
-    )
-    d_w_trh = (pt.w3 * pt.trh)[:, None] * g + pt.w[:, None] * dtrh
+    inv = pt.inv[..., None, :, :]
+    inv_t = (pt.inv.reshape(lead[:-1] + (1, 1, 9)) @ t.reshape(lead + (9, 3)))[..., 0, :]
+    inv_di_inv = (inv @ d_info @ inv).reshape(lead[:-1] + (3, 9))
+    dtrh = inv_t - h.reshape(lead + (9,)) @ _t(inv_di_inv)
+    d_w_trh = (pt.w3 * pt.trh)[..., None] * g + pt.w[..., None] * dtrh
     return (
         hessian_from(pt.tens, data)
         + lev_jac
-        + 0.5 * (g.T @ d_w_trh + np.einsum("i,ist->st", pt.w * pt.trh, h))
+        + 0.5 * (_t(g) @ d_w_trh + arm_sum(pt.w * pt.trh, h))
     )
 
 
@@ -802,11 +912,15 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
     (huge or tiny ED50) are genuine solutions of the estimating equations
     and surface as ``Unstable`` bound hits rather than failures.
     """
-    work = _work(data, config)
-    mple = work.mple()
-    lead = mple.params.as_array() if mple.params is not None else work.start()
+    return _work(data, config).fit(EstimatorKind.Firth)
+
+
+def _solve_firth(work: _DatasetWork) -> FitResult:
+    data, config = work.data, work.config
+    mple = work.fit(EstimatorKind.MPLE)
+    lead = mple.params.as_array() if mple.params is not None else work.start
     total_it = 0
-    for theta0 in _firth_starts(data, lead, work.start()):
+    for theta0 in _firth_starts(data, lead, work.start):
         budget = max(50, config.max_iter - total_it)
         theta, pt, it, ok = _lm_root(data, theta0, budget, config.grad_tol)
         total_it += it
@@ -822,11 +936,11 @@ def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fi
 # Jeffreys-prior MPLE
 # ---------------------------------------------------------------------------
 
-def _penalized_loglik_from(tens: DerivTensors, data: ObservationSet) -> float:
+def _penalized_loglik_from(tens: DerivTensors, data: ObservationSet) -> float | np.ndarray:
     sign, logdet = np.linalg.slogdet(information_from(tens, data))
-    if sign <= 0:
-        return -np.inf
-    return log_likelihood_from(tens, data) + 0.5 * logdet
+    with np.errstate(invalid="ignore"):
+        out = np.where(sign <= 0, -np.inf, log_likelihood_from(tens, data) + 0.5 * logdet)
+    return float(out) if out.ndim == 0 else out
 
 
 def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
@@ -840,7 +954,11 @@ def penalized_loglik(params: EmaxParams, data: ObservationSet) -> float:
 
 
 def _penalized_score_at(pt: _Point, data: ObservationSet) -> np.ndarray:
-    return score_from(pt.tens, data) + 0.5 * (pt.w3 * pt.lev) @ pt.tens.g + pt.w @ pt.ha
+    return (
+        score_from(pt.tens, data)
+        + arm_sum(0.5 * (pt.w3 * pt.lev), pt.tens.g)
+        + arm_sum(pt.w, pt.ha)
+    )
 
 
 def _penalized_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
@@ -851,13 +969,15 @@ def _penalized_jacobian_at(pt: _Point, data: ObservationSet) -> np.ndarray:
     """
     g, h, w = pt.tens.g, pt.tens.h, pt.w
     lev_jac, _, d_info_a = _leverage_jacobian(pt)
-    da = pt.inv @ (h - d_info_a)
+    da = pt.inv[..., None, :, :] @ (h - d_info_a)
+    # t is symmetric, so t_i[s, :, t] a_i = (t_i[s, t, :] a_i).
+    ta = (pt.tens.t @ pt.a[..., None, :, None])[..., 0]
     return (
         hessian_from(pt.tens, data)
         + lev_jac
-        + pt.ha.T @ (pt.w3[:, None] * g)
-        + np.einsum("i,isjt,ij->st", w, pt.tens.t, pt.a)
-        + np.einsum("i,isj,ijt->st", w, h, da)
+        + _t(pt.ha) @ (pt.w3[..., None] * g)
+        + arm_sum(w, ta)
+        + arm_sum(w, h @ da)
     )
 
 
@@ -891,26 +1011,38 @@ def fit_mple(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fit
     ridges that one-sided event patterns create.  No divergence test
     applies: the penalty keeps the maximizer finite.  Covariance is the
     exact inverse of the negative penalized Hessian at the maximizer.
+    Inside a :func:`shared_work` block the MPLE of every dataset of the
+    block is solved in one batched ascent on the first request.
     """
-    return _work(data, config).mple()
+    return _work(data, config).fit(EstimatorKind.MPLE)
 
 
-def _solve_mple(work: _DatasetWork) -> FitResult:
-    data, config = work.data, work.config
+def _penalized_value(stack: _Stack, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return _penalized_loglik_from(*stack.tensors(theta, idx))
 
-    def value(theta):
-        tens = deriv_tensors(EmaxParams.from_array(theta), data)
-        return _penalized_loglik_from(tens, data), tens
 
-    def derivs(tens):
-        pt = _point(tens, data, np.linalg.pinv)
-        return _penalized_score_at(pt, data), _penalized_jacobian_at(pt, data)
+def _penalized_derivs(stack: _Stack, theta: np.ndarray, idx: np.ndarray):
+    tens, rows = stack.tensors(theta, idx)
+    pt = _point(tens, rows, np.linalg.pinv)
+    return _penalized_score_at(pt, rows), _penalized_jacobian_at(pt, rows)
 
-    run = _ascend(work.start(), value, derivs, lambda theta: False, config)
-    if run.reason is not StatusReason.NONE:
-        return _failed(EstimatorKind.MPLE, run.reason, run.iterations)
-    cov = _inverse_or_none(-run.hessian)
-    return _classify(EstimatorKind.MPLE, run.theta, cov, run.iterations, data, config)
+
+def _never_diverged(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return np.zeros(len(theta), dtype=bool)
+
+
+def _solve_mple(works: Sequence[_DatasetWork]) -> list[FitResult]:
+    """The MPLE of each memo's dataset, all solved in one batched ascent."""
+    run = _fits(works, _penalized_value, _penalized_derivs, _never_diverged)
+    out = []
+    for r, work in enumerate(works):
+        it, reason = int(run.iterations[r]), run.reasons[r]
+        if reason is not StatusReason.NONE:
+            out.append(_failed(EstimatorKind.MPLE, reason, it))
+            continue
+        cov = _inverse_or_none(-run.hessian[r])
+        out.append(_classify(EstimatorKind.MPLE, run.theta[r], cov, it, work.data, work.config))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -939,10 +1071,10 @@ def fit_quadratic_logit(
     """Maximum-likelihood quadratic-logit fit on ``(1, d, d^2)``.
 
     A sensitivity model for non-monotone samples.  The fit runs through the
-    shared ascent core from zero coefficients, on doses scaled to at most 1,
-    and shares the failure taxonomy of the main estimators: a linear
-    predictor beyond 30 in magnitude, where separation drives the
-    coefficients, is reported as FailedToEstimate.
+    shared ascent core (as a batch of one) from zero coefficients, on doses
+    scaled to at most 1, and shares the failure taxonomy of the main
+    estimators: a linear predictor beyond 30 in magnitude, where separation
+    drives the coefficients, is reported as FailedToEstimate.
     """
     if len(data.doses) < 3:
         raise ValueError("need at least 3 distinct doses")
@@ -950,30 +1082,31 @@ def fit_quadratic_logit(
     scale = max(1.0, d.max())
     x = np.column_stack([np.ones_like(d), d / scale, (d / scale) ** 2])
 
-    def value(b):
-        return float(_loglik_rows((x @ b)[None, :], data.n, data.events)[0]), b
+    def value(b, idx):
+        return _loglik_rows(b @ x.T, data.n, data.events)
 
-    def derivs(b):
-        pi = expit(x @ b)
+    def derivs(b, idx):
+        pi = expit(b @ x.T)
         w = data.n * pi * (1.0 - pi)
-        return x.T @ (data.events - data.n * pi), -(x.T @ (w[:, None] * x))
+        return (data.events - data.n * pi) @ x, -(x.T @ (w[:, :, None] * x))
 
-    run = _ascend(np.zeros(3), value, derivs, lambda b: np.max(np.abs(x @ b)) > 30.0, config)
-    reason = run.reason
+    def diverged(b, idx):
+        return np.abs(b @ x.T).max(axis=1) > 30.0
+
+    run = _ascend(np.zeros((1, 3)), value, derivs, diverged, config)
+    reason, iterations = run.reasons[0], int(run.iterations[0])
     if reason is StatusReason.NONE:
-        cov_scaled = _inverse_or_none(-run.hessian)
+        cov_scaled = _inverse_or_none(-run.hessian[0])
         if cov_scaled is None:
             reason = StatusReason.SINGULAR_INFORMATION
     if reason is not StatusReason.NONE:
-        return QuadraticLogitFit(
-            FitStatus.FailedToEstimate, reason, None, None, None, run.iterations
-        )
+        return QuadraticLogitFit(FitStatus.FailedToEstimate, reason, None, None, None, iterations)
     # Undo the dose rescaling used for conditioning.
     s = np.diag([1.0, 1.0 / scale, 1.0 / scale**2])
-    coefs = s @ run.theta
+    coefs = s @ run.theta[0]
     peak = float(-coefs[1] / (2.0 * coefs[2])) if coefs[2] < 0 else None
     return QuadraticLogitFit(
-        FitStatus.Converged, StatusReason.NONE, coefs, s @ cov_scaled @ s, peak, run.iterations
+        FitStatus.Converged, StatusReason.NONE, coefs, s @ cov_scaled @ s, peak, iterations
     )
 
 
@@ -1001,15 +1134,18 @@ def shared_work(datasets: Sequence[ObservationSet], config: SolverConfig = Solve
     On entry the start grids of all ``datasets`` are solved in one
     :func:`batch_starting_values` call, so they must have equal arm counts
     (else ``ValueError``).  Inside the block, fits of one of these very
-    dataset objects under an equal ``config`` compute its start point, MLE
-    and MPLE at most once (see the module docstring); any other fit gets a
-    fresh memo.  Every result is identical to a fit made outside the block.
-    The memos are dropped when the block ends.
+    dataset objects under an equal ``config`` compute its start point and
+    each estimator's fit at most once, and the first request for the MLE or
+    the MPLE of any of them solves that estimator for all of them in one
+    batched ascent (see the module docstring); any other fit gets a fresh
+    memo.  Every result is bit for bit the one a fit made outside the block
+    returns.  The memos are dropped when the block ends.
     """
     starts = batch_starting_values(datasets)
-    token = _ACTIVE_WORK.set(
-        {id(d): _DatasetWork(d, config, start) for d, start in zip(datasets, starts)}
-    )
+    block = [_DatasetWork(d, config, start) for d, start in zip(datasets, starts)]
+    for work in block:
+        work.block = block
+    token = _ACTIVE_WORK.set({id(w.data): w for w in block})
     try:
         yield
     finally:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._pool import map_chunks
 from .estimators import (
@@ -135,7 +135,7 @@ def wald_ci(estimate: float, se: float, level: float = 0.95) -> WaldInterval:
         raise InvalidLevel(f"level must be in (0, 1), got {level}")
     if se <= 0:
         raise ValueError("se must be positive")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)  # the standard-normal quantile
     return WaldInterval(
         estimate=float(estimate),
         std_err=float(se),

@@ -25,6 +25,7 @@ __all__ = [
     "eta",
     "predict_prob",
     "deriv_tensors",
+    "stacked_deriv_tensors",
     "log_likelihood",
     "score",
     "hessian",
@@ -33,6 +34,7 @@ __all__ = [
     "score_from",
     "hessian_from",
     "information_from",
+    "arm_sum",
     "SingularInformation",
     "invert_information",
 ]
@@ -198,9 +200,11 @@ def eta(params: EmaxParams, dose: float | np.ndarray) -> float | np.ndarray:
     Exactly ``e0`` at dose 0, approaching ``e0 + emax`` as dose grows.
     """
     dose = np.asarray(dose, dtype=float)
-    # exp(phi) overflows to inf past phi ~ 709, where dose / inf = 0 is the limit.
-    with np.errstate(over="ignore"):
-        out = params.e0 + params.emax * dose / (np.exp(params.phi) + dose)
+    # exp(phi) overflows to inf past phi ~ 709, where dose / inf = 0 is the
+    # limit, and underflows to 0 below phi ~ -745, where dose 0 gives 0 / 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = dose / (np.exp(params.phi) + dose)
+    out = params.e0 + params.emax * np.where(dose == 0.0, 0.0, u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -224,26 +228,39 @@ def deriv_tensors(params: EmaxParams, data: ObservationSet) -> DerivTensors:
     All entries are finite for finite parameters; everything vanishes at
     dose 0 except the leading 1 in ``g``.
     """
-    d = data.doses
+    return _tensors(params.e0, params.emax, params.phi, data.doses)
+
+
+def stacked_deriv_tensors(theta: np.ndarray, doses: np.ndarray) -> DerivTensors:
+    """:func:`deriv_tensors` of ``R`` points at once.
+
+    Row ``r`` of ``theta`` (shape ``(R, 3)``) is evaluated on the doses in
+    row ``r`` of ``doses`` (shape ``(R, M)``), and every field gains a
+    leading axis of length ``R``.  The arithmetic is elementwise, so each
+    row is bit for bit what :func:`deriv_tensors` gives that point alone.
+    """
+    return _tensors(theta[:, :1], theta[:, 1:2], theta[:, 2:], doses)
+
+
+def _tensors(e0, emax, phi, d: np.ndarray) -> DerivTensors:
     # Far-field evaluations (|phi| huge) overflow by design; the resulting
     # non-finite entries are rejected by the solvers' line searches.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.exp(params.phi)
+        c = np.exp(phi)
         u = d / (c + d)
         s = c / (c + d)
-    et = params.e0 + params.emax * u
+    et = e0 + emax * u
     pi = expit(et)
-    m = len(d)
-    g = np.zeros((m, 3))
-    h = np.zeros((m, 3, 3))
-    t = np.zeros((m, 3, 3, 3))
-    g[:, 0] = 1.0
-    g[:, 1] = u
-    g[:, 2] = -params.emax * u * s
-    h[:, 1, 2] = h[:, 2, 1] = -u * s
-    h[:, 2, 2] = params.emax * u * s * (s - u)
-    t[:, 1, 2, 2] = t[:, 2, 1, 2] = t[:, 2, 2, 1] = u * s * (s - u)
-    t[:, 2, 2, 2] = params.emax * u * s * (4.0 * u * s - u**2 - s**2)
+    g = np.zeros(u.shape + (3,))
+    h = np.zeros(u.shape + (3, 3))
+    t = np.zeros(u.shape + (3, 3, 3))
+    g[..., 0] = 1.0
+    g[..., 1] = u
+    g[..., 2] = -emax * u * s
+    h[..., 1, 2] = h[..., 2, 1] = -u * s
+    h[..., 2, 2] = emax * u * s * (s - u)
+    t[..., 1, 2, 2] = t[..., 2, 1, 2] = t[..., 2, 2, 1] = u * s * (s - u)
+    t[..., 2, 2, 2] = emax * u * s * (4.0 * u * s - u**2 - s**2)
     return DerivTensors(g=g, h=h, t=t, pi=pi, eta=et)
 
 
@@ -289,33 +306,44 @@ def invert_information(a: np.ndarray) -> np.ndarray:
 
 # The from-tensors forms below take the tensors of :func:`deriv_tensors`, so
 # a caller that needs several of these quantities at one point evaluates
-# ``deriv_tensors`` once; each public form above is one of them.
+# ``deriv_tensors`` once; each public form above is one of them.  They also
+# take the stacked tensors of :func:`stacked_deriv_tensors`, with ``data``
+# any object whose ``n`` and ``events`` arrays carry the same leading axis;
+# every sum then runs along one row's own arms, so each row's result does
+# not depend on the other rows.
 
-def log_likelihood_from(tens: DerivTensors, data: ObservationSet) -> float:
-    """:func:`log_likelihood` from the tensors at the point."""
-    return float(
-        np.sum(
-            data.events * log_expit(tens.eta)
-            + (data.n - data.events) * log_expit(-tens.eta)
-        )
-    )
+def arm_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_i weights_i x_i`` over the arm axis, the axis after the leading ones.
+
+    ``weights`` has shape ``(..., M)`` and ``x`` shape ``(..., M, *rest)``;
+    the result has shape ``(..., *rest)``.  One matrix product per leading
+    index.
+    """
+    lead = weights.shape
+    out = weights[..., None, :] @ x.reshape(lead + (-1,))
+    return out.reshape(lead[:-1] + x.shape[len(lead):])
+
+
+def log_likelihood_from(tens: DerivTensors, data: ObservationSet) -> float | np.ndarray:
+    """:func:`log_likelihood` from the tensors at the point (one per row if stacked)."""
+    out = (
+        data.events * log_expit(tens.eta) + (data.n - data.events) * log_expit(-tens.eta)
+    ).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def score_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
     """:func:`score` from the tensors at the point."""
-    return (data.events - data.n * tens.pi) @ tens.g
+    return arm_sum(data.events - data.n * tens.pi, tens.g)
 
 
 def hessian_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
     """:func:`hessian` from the tensors at the point."""
-    w = data.n * tens.pi * (1.0 - tens.pi)
     resid = data.events - data.n * tens.pi
-    return -np.einsum("i,ir,ij->rj", w, tens.g, tens.g) + np.einsum(
-        "i,irj->rj", resid, tens.h
-    )
+    return arm_sum(resid, tens.h) - information_from(tens, data)
 
 
 def information_from(tens: DerivTensors, data: ObservationSet) -> np.ndarray:
     """:func:`expected_information` from the tensors at the point."""
     w = data.n * tens.pi * (1.0 - tens.pi)
-    return np.einsum("i,ir,ij->rj", w, tens.g, tens.g)
+    return np.swapaxes(tens.g, -1, -2) @ (w[..., None] * tens.g)

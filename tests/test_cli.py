@@ -174,16 +174,19 @@ class TestFitCommand:
 
     def test_bootstrap_reuses_the_point_fit(self, clean_path, capsys, monkeypatch):
         monkeypatch.setenv("EMAXBR_THREADS", "1")
-        solves = []
+        solved = []
         solve = estimators._solve_mple
-        monkeypatch.setattr(estimators, "_solve_mple", lambda work: solves.append(1) or solve(work))
+        monkeypatch.setattr(
+            estimators, "_solve_mple", lambda works: solved.append(len(works)) or solve(works)
+        )
         code, out = _run(
             ["fit", "--data", clean_path, "--estimator", "mple", "--boot", "100", "--seed", "4"],
             capsys,
         )
         assert code == 0
-        # One point fit shared by the report and the bands, then 100 refits.
-        assert len(solves) == 101
+        # One point fit shared by the report and the bands, then one batched
+        # solve per chunk of refits (100 refits: two chunks of 50).
+        assert solved == [1, 50, 50]
         monkeypatch.setattr(estimators, "_solve_mple", solve)
 
         data = _read_data(clean_path, "aggregated")
@@ -196,6 +199,34 @@ class TestFitCommand:
         assert report["bootstrap"]["bands"]["mple"] == [
             {"dose": b.dose, "point": b.point, "lower": b.lower, "upper": b.upper} for b in bands
         ]
+
+    def test_bootstrap_reuses_the_firth_point_fit(self, turandot_path, capsys, monkeypatch):
+        monkeypatch.setenv("EMAXBR_THREADS", "1")
+        searches = []
+        starts = estimators._firth_starts
+        monkeypatch.setattr(
+            estimators, "_firth_starts", lambda *args: searches.append(1) or starts(*args)
+        )
+        code, out = _run(
+            ["fit", "--data", turandot_path, "--estimator", "firth", "--boot", "100", "--seed", "4"],
+            capsys,
+        )
+        # One Firth search shared by the report and the bands, then 100 refits.
+        assert len(searches) == 101
+        monkeypatch.setattr(estimators, "_firth_starts", starts)
+
+        data = _read_data(turandot_path, "aggregated")
+        point = fit(EstimatorKind.Firth, data)
+        bands = bootstrap_bands(data, EstimatorKind.Firth, data.doses, n_boot=100, seed=4)
+        report = json.loads(out)
+        assert report["fits"][0]["estimate"] == dict(
+            zip(("e0", "emax", "log_ed50"), map(float, point.params.as_array()))
+        )
+        assert report["fits"][0]["iterations"] == point.iterations
+        assert report["bootstrap"]["bands"]["firth"] == [
+            {"dose": b.dose, "point": b.point, "lower": b.lower, "upper": b.upper} for b in bands
+        ]
+        assert code == 0
 
     def test_bootstrap_failure_reported_inline(self, separated_path, capsys):
         code, out = _run(

@@ -435,76 +435,129 @@ def _assert_same_fit(a, b) -> None:
 
 
 def _quadratic(center: np.ndarray, curv: np.ndarray):
-    """``value`` and ``derivs`` of ``-0.5 (x - center)' curv (x - center)``."""
+    """``value``, ``derivs`` and ``diverged`` of ``-0.5 (x - center)' curv (x - center)``."""
 
     def value(x):
         r = x - center
-        return -0.5 * float(r @ curv @ r), x
+        return -0.5 * float(r @ curv @ r)
 
     def derivs(x):
         return -curv @ (x - center), -curv
 
-    return value, derivs
+    return value, derivs, _never
 
 
 def _never(theta):
     return False
 
 
+def _indefinite():
+    """``f = -(x^2 - 1)^2 - y^2 - z^2``, with positive curvature in x near x = 0."""
+
+    def value(p):
+        return -((p[0] ** 2 - 1.0) ** 2) - p[1] ** 2 - p[2] ** 2
+
+    def derivs(p):
+        g = np.array([-4.0 * p[0] * (p[0] ** 2 - 1.0), -2.0 * p[1], -2.0 * p[2]])
+        return g, np.diag([4.0 - 12.0 * p[0] ** 2, -2.0, -2.0])
+
+    return value, derivs, _never
+
+
+def _unbounded():
+    return (
+        lambda p: float(p.sum()),
+        lambda p: (np.ones(3), np.zeros((3, 3))),
+        lambda p: np.max(np.abs(p)) > 50.0,
+    )
+
+
+def _nan_derivs(bad: str):
+    value, derivs, _ = _quadratic(np.ones(3), np.eye(3))
+
+    def nan_derivs(x):
+        g, h = derivs(x)
+        return (np.full(3, np.nan), h) if bad == "gradient" else (g, np.full((3, 3), np.nan))
+
+    return value, nan_derivs, _never
+
+
+def _ascend_rows(objectives, starts, config):
+    """``_ascend`` on a stack of rows, row ``r`` maximizing ``objectives[r]``.
+
+    Each objective is a ``(value, derivs, diverged)`` triple of one point.
+    """
+    def value(theta, idx):
+        return np.array([objectives[r][0](x) for r, x in zip(idx, theta)])
+
+    def derivs(theta, idx):
+        pairs = [objectives[r][1](x) for r, x in zip(idx, theta)]
+        return np.array([g for g, _ in pairs]), np.array([h for _, h in pairs])
+
+    def diverged(theta, idx):
+        return np.array([objectives[r][2](x) for r, x in zip(idx, theta)], dtype=bool)
+
+    return estimators._ascend(np.array(starts, dtype=float), value, derivs, diverged, config)
+
+
+def _ascend_one(objective, start, config=SolverConfig()):
+    run = _ascend_rows([objective], [start], config)
+    return run.theta[0], run.hessian[0], int(run.iterations[0]), run.reasons[0]
+
+
 class TestAscend:
     def test_concave_quadratic_converges(self):
         center = np.array([1.0, -2.0, 0.5])
         curv = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
-        value, derivs = _quadratic(center, curv)
-        run = estimators._ascend(np.zeros(3), value, derivs, _never, SolverConfig())
-        assert run.reason is StatusReason.NONE
-        np.testing.assert_allclose(run.theta, center, atol=1e-10)
-        assert run.iterations == 2  # one Newton step, then the gradient test
+        theta, _, iterations, reason = _ascend_one(_quadratic(center, curv), np.zeros(3))
+        assert reason is StatusReason.NONE
+        np.testing.assert_allclose(theta, center, atol=1e-10)
+        assert iterations == 2  # one Newton step, then the gradient test
 
     def test_indefinite_start_still_ascends(self):
-        # f = -(x^2 - 1)^2 - y^2 has positive curvature in x near x = 0.
-        def value(p):
-            return -((p[0] ** 2 - 1.0) ** 2) - p[1] ** 2, p
-
-        def derivs(p):
-            g = np.array([-4.0 * p[0] * (p[0] ** 2 - 1.0), -2.0 * p[1]])
-            return g, np.diag([4.0 - 12.0 * p[0] ** 2, -2.0])
-
-        start = np.array([0.1, 1.0])
-        assert np.linalg.eigvalsh(derivs(start)[1]).max() > 0
-        run = estimators._ascend(start, value, derivs, _never, SolverConfig())
-        assert run.reason is StatusReason.NONE
-        np.testing.assert_allclose(run.theta, [1.0, 0.0], atol=1e-6)
+        objective = _indefinite()
+        start = np.array([0.1, 1.0, 0.0])
+        assert np.linalg.eigvalsh(objective[1](start)[1]).max() > 0
+        theta, _, _, reason = _ascend_one(objective, start)
+        assert reason is StatusReason.NONE
+        np.testing.assert_allclose(theta, [1.0, 0.0, 0.0], atol=1e-6)
 
     def test_unbounded_objective_ends_non_finite_through_diverged(self):
-        def value(p):
-            return float(p.sum()), p
-
-        def derivs(p):
-            return np.ones(2), np.zeros((2, 2))
-
-        run = estimators._ascend(
-            np.zeros(2), value, derivs, lambda p: np.max(np.abs(p)) > 50.0, SolverConfig()
-        )
-        assert run.reason is StatusReason.NON_FINITE
-        assert np.max(np.abs(run.theta)) > 50.0
+        theta, _, _, reason = _ascend_one(_unbounded(), np.zeros(3))
+        assert reason is StatusReason.NON_FINITE
+        assert np.max(np.abs(theta)) > 50.0
 
     @pytest.mark.parametrize("bad", ["gradient", "hessian"])
     def test_nan_derivatives_are_non_finite(self, bad):
-        value, derivs = _quadratic(np.ones(3), np.eye(3))
-
-        def nan_derivs(x):
-            g, h = derivs(x)
-            return (np.full(3, np.nan), h) if bad == "gradient" else (g, np.full((3, 3), np.nan))
-
-        run = estimators._ascend(np.zeros(3), value, nan_derivs, _never, SolverConfig())
-        assert run.reason is StatusReason.NON_FINITE
+        _, _, _, reason = _ascend_one(_nan_derivs(bad), np.zeros(3))
+        assert reason is StatusReason.NON_FINITE
 
     def test_iteration_cap_is_non_convergence(self):
-        value, derivs = _quadratic(np.full(3, 100.0), np.eye(3))
-        run = estimators._ascend(np.zeros(3), value, derivs, _never, SolverConfig(max_iter=1))
-        assert run.reason is StatusReason.NON_CONVERGENCE
-        assert run.iterations == 1
+        objective = _quadratic(np.full(3, 100.0), np.eye(3))
+        _, _, iterations, reason = _ascend_one(objective, np.zeros(3), SolverConfig(max_iter=1))
+        assert reason is StatusReason.NON_CONVERGENCE
+        assert iterations == 1
+
+    def test_each_row_of_a_mixed_batch_ends_as_it_does_alone(self):
+        curv = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+        cases = [
+            (_quadratic(np.array([1.0, -2.0, 0.5]), curv), [0.0, 0.0, 0.0], StatusReason.NONE),
+            (_indefinite(), [0.1, 1.0, 0.0], StatusReason.NONE),
+            (_unbounded(), [0.0, 0.0, 1.0], StatusReason.NON_FINITE),
+            (_nan_derivs("gradient"), [0.0, 1.0, 0.0], StatusReason.NON_FINITE),
+            (_nan_derivs("hessian"), [1.0, 0.0, 0.0], StatusReason.NON_FINITE),
+            # About 350 capped steps from the start: cut by the iteration cap.
+            (_quadratic(np.full(3, 1000.0), np.eye(3)), [0.0, 0.0, 2.0], StatusReason.NON_CONVERGENCE),
+        ]
+        config = SolverConfig(max_iter=100)
+        run = _ascend_rows([c[0] for c in cases], [c[1] for c in cases], config)
+        assert run.reasons == [c[2] for c in cases]
+        assert run.iterations[-1] == 100
+        for r, (objective, start, _) in enumerate(cases):
+            theta, hess, iterations, reason = _ascend_one(objective, start, config)
+            np.testing.assert_array_equal(run.theta[r], theta)
+            np.testing.assert_array_equal(run.hessian[r], hess)
+            assert (run.iterations[r], run.reasons[r]) == (iterations, reason)
 
 
 def _quadratic_logit_score(res, data: ObservationSet) -> np.ndarray:
@@ -589,7 +642,8 @@ class TestFitAll:
             for data in batch:
                 for kind in EstimatorKind:
                     fit(kind, data)
-        assert calls == {"start": 0, "batch": 2, "mle": 4, "mple": 4}
+        # One batched MLE and one batched MPLE solve for the whole block.
+        assert calls == {"start": 0, "batch": 2, "mle": 2, "mple": 2}
 
     def test_memo_ends_with_the_call(self):
         d = _simulate(TRUTH, DOSES5, 50, seed=5)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.stats import norm
 
 from emaxbr import (
     EmaxParams,
@@ -66,6 +68,12 @@ class TestWaldCI:
     def test_invalid_se(self):
         with pytest.raises(ValueError):
             wald_ci(0.0, 0.0)
+
+    @given(st.floats(1e-6, 1.0 - 1e-6, exclude_max=True))
+    def test_quantile_is_the_normal_ppf(self, level):
+        z = norm.ppf(0.5 + level / 2.0)
+        ci = wald_ci(0.0, 1.0, level)
+        assert (ci.lower, ci.upper) == (float(-z), float(z))
 
 
 class TestCovariance:

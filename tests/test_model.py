@@ -93,6 +93,15 @@ class TestEta:
                 predict_prob(EmaxParams(-1.0, 2.0, 1e3), doses), np.full(4, expit(-1.0))
             )
 
+    def test_tiny_log_ed50_is_silent_and_e0_at_dose_zero(self):
+        # exp(phi) underflows to 0 here, so dose 0 is 0 / 0 before the limit.
+        p = EmaxParams(-1.0, 2.0, -800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(eta(p, np.array([0.0, 1.0])), [-1.0, 1.0])
+            np.testing.assert_array_equal(predict_prob(p, [0.0, 1.0]), expit([-1.0, 1.0]))
+            assert eta(p, 0.0) == -1.0
+
     def test_predict_prob_in_unit_interval(self, rng):
         for _ in range(20):
             p = random_params(rng)
