@@ -15,27 +15,38 @@ One ascent core
 ---------------
 The MLE, the MPLE and the quadratic-logit sensitivity fit
 (:func:`fit_quadratic_logit`) maximize an objective through one
-modified-Newton core, :func:`_ascend`: the Hessian's
+modified-Newton core, :func:`_ascend`, which runs many objectives side by
+side: row ``r`` of its stack is one dataset's ascent.  The Hessian's
 eigenvalues are floored just below zero so every step ascends, the step
-norm is capped, an Armijo line search halves the step, and the ascent
-stops on the max-abs gradient.  Each objective supplies its value, its
-gradient and Hessian, and its own test for running off to infinity; the
-MPLE has none, because the Jeffreys penalty keeps its maximizer finite.
+norm is capped, an Armijo line search halves the step, and the ascent stops
+on the max-abs gradient; each rule applies per row, with per-row masks for
+the rows still ascending and still searching a line.  Each objective
+supplies its stacked value, gradient and Hessian (from
+:func:`~emaxbr.model.stacked_deriv_tensors`, the per-arm quantities below,
+and stacked ``pinv``, ``slogdet`` and ``eigh``) and its own test for
+running off to infinity; the MPLE has none, because the Jeffreys penalty
+keeps its maximizer finite.  The quadratic-logit fit is a stack of one.
+
+Every operation acts row by row: stacked matrix products and LAPACK calls,
+and sums along a row's own arms.  A row's result therefore does not depend
+on the rest of the stack, so a dataset's fit is bit for bit the same in any
+batch, in any order.
 
 Shared per-dataset work
 -----------------------
 The estimators overlap: Cox-Snell corrects the MLE, Firth's root search
 leads with the MPLE, and every solver starts from :func:`starting_values`.
 Each fit draws on a per-dataset memo that holds the start point and, once
-solved, the MLE and the MPLE fits.  A fit made outside a
-:func:`shared_work` block gets a fresh memo.  ``shared_work(datasets)``
-solves the start grids of all its datasets in one batch and keeps one memo
-per dataset until the block ends, so fits of those datasets inside the
-block compute each shared piece once: Cox-Snell reuses the MLE fit, Firth
-leads with the MPLE fit, and every solver reuses the start point.  Each
-estimator still passes through one :func:`fit` call, and every result is
-the one a lone ``fit`` call returns.  :func:`fit_all`, the study harness,
-the bootstrap and the command line all fit through such blocks.
+solved, one fit per estimator.  A fit made outside a :func:`shared_work`
+block gets a fresh memo, a block of one.  ``shared_work(datasets)`` solves
+the start grids of all its datasets in one batch and keeps one memo per
+dataset until the block ends.  The first request for the MLE or the MPLE of
+any dataset of the block solves that estimator for every dataset of the
+block in one batched ascent and fills every memo; Cox-Snell reuses the
+MLE, Firth leads with the MPLE, and a repeated request returns the memo's
+fit.  Each estimator still passes through one :func:`fit` call, and every
+result is the one a lone ``fit`` call returns.  :func:`fit_all`, the study
+harness, the bootstrap and the command line all fit through such blocks.
 
 The start grid is solved as one batch, and so are the grids of many
 datasets: :func:`batch_starting_values` stacks ``R x 21`` rows, each with
@@ -70,7 +81,6 @@ import enum
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import partial
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -377,24 +387,35 @@ class _DatasetWork:
         return self.fits[kind]
 
 
-class _Stack(NamedTuple):
+class _Rows(NamedTuple):
     """The arms of several datasets with equal arm counts, one row each."""
 
     doses: np.ndarray
     n: np.ndarray
     events: np.ndarray
 
-    @classmethod
-    def of(cls, datasets: Sequence[ObservationSet]) -> "_Stack":
-        return cls(*(np.stack([getattr(d, f) for d in datasets]) for f in cls._fields))
 
-    def rows(self, idx: np.ndarray) -> "_Stack":
-        return _Stack(self.doses[idx], self.n[idx], self.events[idx])
+class _Stack:
+    """The stacked arms of the datasets of a batched ascent, and their tensors.
 
-    def tensors(self, theta: np.ndarray, idx: np.ndarray) -> tuple[DerivTensors, "_Stack"]:
+    The tensors last evaluated are kept: the ascent asks for the derivatives
+    at the points its line search just accepted, which are usually the points
+    of the last value call.
+    """
+
+    def __init__(self, datasets: Sequence[ObservationSet]):
+        self.rows = _Rows(*(np.stack([getattr(d, f) for d in datasets]) for f in _Rows._fields))
+        self._last = None
+
+    def tensors(self, theta: np.ndarray, idx: np.ndarray) -> tuple[DerivTensors, _Rows]:
         """Tensors of rows ``idx`` at their points ``theta``, and those rows."""
-        rows = self.rows(idx)
-        return stacked_deriv_tensors(theta, rows.doses), rows
+        last = self._last
+        if last is not None and np.array_equal(last[0], idx) and np.array_equal(last[1], theta):
+            return last[2], last[3]
+        rows = _Rows(*(x[idx] for x in self.rows))
+        tens = stacked_deriv_tensors(theta, rows.doses)
+        self._last = idx, theta, tens, rows
+        return tens, rows
 
 
 # The memos of the enclosing shared_work block by dataset identity, if any;
@@ -652,19 +673,6 @@ def _ascend(theta0: np.ndarray, value, derivs, diverged, config: SolverConfig) -
     return _Ascent(theta, hess, iterations, reasons)
 
 
-def _fits(works: Sequence[_DatasetWork], value, derivs, diverged) -> _Ascent:
-    """One batched ascent from the start points of ``works``, whose datasets it stacks."""
-    stack = _Stack.of([w.data for w in works])
-    theta0 = np.stack([w.start for w in works])
-    return _ascend(
-        theta0,
-        partial(value, stack),
-        partial(derivs, stack),
-        diverged,
-        works[0].config,
-    )
-
-
 # ---------------------------------------------------------------------------
 # MLE
 # ---------------------------------------------------------------------------
@@ -682,22 +690,21 @@ def fit_mle(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitR
     return _work(data, config).fit(EstimatorKind.MLE)
 
 
-def _loglik_value(stack: _Stack, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return log_likelihood_from(*stack.tensors(theta, idx))
-
-
-def _loglik_derivs(stack: _Stack, theta: np.ndarray, idx: np.ndarray):
-    tens, rows = stack.tensors(theta, idx)
-    return score_from(tens, rows), hessian_from(tens, rows)
-
-
-def _logits_diverged(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return (np.abs(theta[:, :2]) > _DIVERGENCE_BOUND).any(axis=1)
-
-
 def _solve_mle(works: Sequence[_DatasetWork]) -> list[FitResult]:
     """The MLE of each memo's dataset, all solved in one batched ascent."""
-    run = _fits(works, _loglik_value, _loglik_derivs, _logits_diverged)
+    stack = _Stack([w.data for w in works])
+
+    def value(theta, idx):
+        return log_likelihood_from(*stack.tensors(theta, idx))
+
+    def derivs(theta, idx):
+        tens, rows = stack.tensors(theta, idx)
+        return score_from(tens, rows), hessian_from(tens, rows)
+
+    def diverged(theta, idx):
+        return (np.abs(theta[:, :2]) > _DIVERGENCE_BOUND).any(axis=1)
+
+    run = _ascend(np.stack([w.start for w in works]), value, derivs, diverged, works[0].config)
     out = []
     for r, work in enumerate(works):
         it, reason = int(run.iterations[r]), run.reasons[r]
@@ -1017,23 +1024,22 @@ def fit_mple(data: ObservationSet, config: SolverConfig = SolverConfig()) -> Fit
     return _work(data, config).fit(EstimatorKind.MPLE)
 
 
-def _penalized_value(stack: _Stack, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return _penalized_loglik_from(*stack.tensors(theta, idx))
-
-
-def _penalized_derivs(stack: _Stack, theta: np.ndarray, idx: np.ndarray):
-    tens, rows = stack.tensors(theta, idx)
-    pt = _point(tens, rows, np.linalg.pinv)
-    return _penalized_score_at(pt, rows), _penalized_jacobian_at(pt, rows)
-
-
-def _never_diverged(theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.zeros(len(theta), dtype=bool)
-
-
 def _solve_mple(works: Sequence[_DatasetWork]) -> list[FitResult]:
     """The MPLE of each memo's dataset, all solved in one batched ascent."""
-    run = _fits(works, _penalized_value, _penalized_derivs, _never_diverged)
+    stack = _Stack([w.data for w in works])
+
+    def value(theta, idx):
+        return _penalized_loglik_from(*stack.tensors(theta, idx))
+
+    def derivs(theta, idx):
+        tens, rows = stack.tensors(theta, idx)
+        pt = _point(tens, rows, np.linalg.pinv)
+        return _penalized_score_at(pt, rows), _penalized_jacobian_at(pt, rows)
+
+    def diverged(theta, idx):
+        return np.zeros(len(theta), dtype=bool)
+
+    run = _ascend(np.stack([w.start for w in works]), value, derivs, diverged, works[0].config)
     out = []
     for r, work in enumerate(works):
         it, reason = int(run.iterations[r]), run.reasons[r]

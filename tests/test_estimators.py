@@ -547,7 +547,11 @@ class TestAscend:
             (_nan_derivs("gradient"), [0.0, 1.0, 0.0], StatusReason.NON_FINITE),
             (_nan_derivs("hessian"), [1.0, 0.0, 0.0], StatusReason.NON_FINITE),
             # About 350 capped steps from the start: cut by the iteration cap.
-            (_quadratic(np.full(3, 1000.0), np.eye(3)), [0.0, 0.0, 2.0], StatusReason.NON_CONVERGENCE),
+            (
+                _quadratic(np.full(3, 1000.0), np.eye(3)),
+                [0.0, 0.0, 2.0],
+                StatusReason.NON_CONVERGENCE,
+            ),
         ]
         config = SolverConfig(max_iter=100)
         run = _ascend_rows([c[0] for c in cases], [c[1] for c in cases], config)
