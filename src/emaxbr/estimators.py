@@ -396,26 +396,15 @@ class _Rows(NamedTuple):
 
 
 class _Stack:
-    """The stacked arms of the datasets of a batched ascent, and their tensors.
-
-    The tensors last evaluated are kept: the ascent asks for the derivatives
-    at the points its line search just accepted, which are usually the points
-    of the last value call.
-    """
+    """The stacked arms of the datasets of a batched ascent."""
 
     def __init__(self, datasets: Sequence[ObservationSet]):
         self.rows = _Rows(*(np.stack([getattr(d, f) for d in datasets]) for f in _Rows._fields))
-        self._last = None
 
     def tensors(self, theta: np.ndarray, idx: np.ndarray) -> tuple[DerivTensors, _Rows]:
         """Tensors of rows ``idx`` at their points ``theta``, and those rows."""
-        last = self._last
-        if last is not None and np.array_equal(last[0], idx) and np.array_equal(last[1], theta):
-            return last[2], last[3]
         rows = _Rows(*(x[idx] for x in self.rows))
-        tens = stacked_deriv_tensors(theta, rows.doses)
-        self._last = idx, theta, tens, rows
-        return tens, rows
+        return stacked_deriv_tensors(theta, rows.doses), rows
 
 
 # The memos of the enclosing shared_work block by dataset identity, if any;
