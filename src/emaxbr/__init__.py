@@ -73,6 +73,7 @@ from .diagnostics import (
 from .simharness import (
     AUDIT_COLUMNS,
     AuditRow,
+    AuditLog,
     CellMetrics,
     SimStudy,
     SimMetrics,

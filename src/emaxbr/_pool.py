@@ -29,12 +29,12 @@ def chunks(n_items: int) -> list[range]:
 
 
 def map_chunks(func, items: Sequence, serial: bool = False) -> list:
-    """``func`` over the :func:`chunks` of ``items``, results joined in order.
+    """``func`` over the :func:`chunks` of ``items``, one result per chunk in order.
 
-    ``func`` takes one contiguous slice of ``items`` and returns a list; the
-    lists come back joined in chunk order.  Each chunk is one task, fanned
-    out over :func:`n_workers` processes; with one worker, one chunk, or
-    ``serial``, the chunks run in this process.
+    ``func`` takes one contiguous slice of ``items``; the caller joins the
+    results.  Each chunk is one task, fanned out over :func:`n_workers`
+    processes; with one worker, one chunk, or ``serial``, the chunks run in
+    this process.
     """
     parts = [items[r.start : r.stop] for r in chunks(len(items))]
     workers = n_workers()
@@ -43,4 +43,4 @@ def map_chunks(func, items: Sequence, serial: bool = False) -> list:
             results = list(pool.map(func, parts))
     else:
         results = [func(part) for part in parts]
-    return [x for result in results for x in result]
+    return results

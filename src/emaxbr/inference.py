@@ -212,9 +212,9 @@ def bootstrap_bands(
     point = np.asarray(predict_prob(point_fit.params, doses))
 
     chunk = partial(_boot_chunk, data, kind, doses, seed, config)
-    results = map_chunks(chunk, range(n_boot), serial=n_boot < 200)
+    parts = map_chunks(chunk, range(n_boot), serial=n_boot < 200)
 
-    kept = [r for r in results if r is not None]
+    kept = [r for part in parts for r in part if r is not None]
     n_failed = n_boot - len(kept)
     if n_failed > 0.5 * n_boot:
         raise TooManyFailures(n_failed, n_boot)

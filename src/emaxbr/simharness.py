@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -41,6 +42,7 @@ __all__ = [
     "CellMetrics",
     "SimMetrics",
     "AuditRow",
+    "AuditLog",
     "ShapeUnreachable",
     "generate_dataset",
     "run_study",
@@ -136,6 +138,88 @@ class AuditRow:
     iterations: int
 
 
+# Every status an audit row can carry, "<status>" or "<status>:<reason>";
+# an audit log stores its index into this tuple.
+_STATUS_TEXTS = tuple(
+    s.value if r is StatusReason.NONE else f"{s.value}:{r.value}"
+    for s in FitStatus
+    for r in StatusReason
+)
+_STATUS_CODES = {text: code for code, text in enumerate(_STATUS_TEXTS)}
+_CONVERGED = _STATUS_CODES[FitStatus.Converged.value]
+# The FitStatus of each status code, as an index into FitStatus.
+_STATUS_FAMILY = np.arange(len(_STATUS_TEXTS)) // len(StatusReason)
+_KINDS = tuple(k.value for k in EstimatorKind)
+
+
+class AuditLog(Sequence):
+    """The audit rows of a study, stored as columns.
+
+    A read-only sequence whose items are :class:`AuditRow`, with Python
+    floats and ``None`` for missing values, as if the rows were stored one
+    by one.  Per row it keeps the replicate index, the estimator and the
+    status as small integer codes, the estimate and the standard errors as
+    float64 triples (NaN where missing; a reported value is never NaN) and
+    the iteration count, so a study's log takes a few dozen bytes per row.
+    Logs compare equal when their rows are equal, and pickle as arrays.
+    """
+
+    __slots__ = ("rep", "estimator", "status", "est", "se", "iterations")
+
+    def __init__(self, rep, estimator, status, est, se, iterations):
+        self.rep = np.asarray(rep, dtype=np.int32)
+        self.estimator = np.asarray(estimator, dtype=np.int8)
+        self.status = np.asarray(status, dtype=np.int8)
+        self.est = np.asarray(est, dtype=float).reshape(-1, 3)
+        self.se = np.asarray(se, dtype=float).reshape(-1, 3)
+        self.iterations = np.asarray(iterations, dtype=np.int32)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[AuditRow]) -> "AuditLog":
+        rows = list(rows)
+        return cls(
+            [r.rep for r in rows],
+            [_KINDS.index(r.estimator) for r in rows],
+            [_STATUS_CODES[r.status] for r in rows],
+            [[_nan(r.e0), _nan(r.emax), _nan(r.log_ed50)] for r in rows],
+            [[_nan(r.se_e0), _nan(r.se_emax), _nan(r.se_log_ed50)] for r in rows],
+            [r.iterations for r in rows],
+        )
+
+    @classmethod
+    def concat(cls, logs: Sequence["AuditLog"]) -> "AuditLog":
+        return cls(*(np.concatenate([getattr(g, f) for g in logs]) for f in cls.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.rep)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return AuditLog(*(getattr(self, f)[i] for f in self.__slots__))
+        est, se = self.est[i].tolist(), self.se[i].tolist()
+        return AuditRow(
+            int(self.rep[i]),
+            _KINDS[self.estimator[i]],
+            _STATUS_TEXTS[self.status[i]],
+            *(None if v != v else v for v in est + se),
+            int(self.iterations[i]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AuditLog):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True)
+            for f in self.__slots__
+        )
+
+    __hash__ = None
+
+
+def _nan(v: float | None) -> float:
+    return np.nan if v is None else v
+
+
 @dataclass(frozen=True)
 class SimMetrics:
     """Aggregated study output.
@@ -143,15 +227,20 @@ class SimMetrics:
     ``cells`` maps ``(estimator_name, parameter_name)`` to
     :class:`CellMetrics`; ``fail_pct`` / ``unstable_pct`` map estimator
     names to percentages over all replicates.  ``audit`` holds one row per
-    (replicate, estimator) for external scrutiny.
+    (replicate, estimator) for external scrutiny, as an :class:`AuditLog`;
+    any other sequence of :class:`AuditRow` given here is converted to one.
     """
 
     cells: dict[tuple[str, str], CellMetrics]
     fail_pct: dict[str, float]
     unstable_pct: dict[str, float]
     n_reps: int
-    audit: tuple[AuditRow, ...] = field(repr=False, default=())
+    audit: AuditLog = field(repr=False, default=())
     acceptance_rate: float | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.audit, AuditLog):
+            object.__setattr__(self, "audit", AuditLog.from_rows(self.audit))
 
 
 def generate_dataset(study: SimStudy, rep_index: int) -> ObservationSet:
@@ -169,65 +258,56 @@ def generate_dataset(study: SimStudy, rep_index: int) -> ObservationSet:
     return ObservationSet(doses, study.arm_sizes().astype(float), events)
 
 
-def _fit_reps(study: SimStudy, reps) -> list[AuditRow]:
-    """Audit rows of replicates ``reps``, drawn and fitted in one shared-work block."""
+def _fit_reps(study: SimStudy, reps) -> AuditLog:
+    """Audit log of replicates ``reps``, drawn and fitted in one shared-work block."""
     datasets = [generate_dataset(study, r) for r in reps]
     with shared_work(datasets, study.solver):
-        return [
-            _audit_row(rep, kind, fit(kind, data, study.solver))
+        fits = [
+            (rep, kind, fit(kind, data, study.solver))
             for rep, data in zip(reps, datasets)
             for kind in study.estimators
         ]
-
-
-def _audit_row(rep: int, kind: EstimatorKind, res: FitResult) -> AuditRow:
-    est = res.params.as_array() if res.params is not None else (None,) * 3
-    se = res.std_errors if res.std_errors is not None else (None,) * 3
-    return AuditRow(
-        rep=rep,
-        estimator=kind.value,
-        status=(
-            res.status.value
-            if res.status_reason is StatusReason.NONE
-            else f"{res.status.value}:{res.status_reason.value}"
-        ),
-        e0=_opt(est[0]),
-        emax=_opt(est[1]),
-        log_ed50=_opt(est[2]),
-        se_e0=_opt(se[0]),
-        se_emax=_opt(se[1]),
-        se_log_ed50=_opt(se[2]),
-        iterations=res.iterations,
+    missing = (np.nan,) * 3
+    return AuditLog(
+        [rep for rep, _, _ in fits],
+        [_KINDS.index(kind.value) for _, kind, _ in fits],
+        [_STATUS_CODES[_status_text(res)] for _, _, res in fits],
+        [missing if res.params is None else res.params.as_array() for _, _, res in fits],
+        [missing if res.std_errors is None else res.std_errors for _, _, res in fits],
+        [res.iterations for _, _, res in fits],
     )
 
 
-def _opt(v) -> float | None:
-    return None if v is None else float(v)
+def _status_text(res: FitResult) -> str:
+    if res.status_reason is StatusReason.NONE:
+        return res.status.value
+    return f"{res.status.value}:{res.status_reason.value}"
 
 
 def _aggregate(
     study: SimStudy,
-    audit: list[AuditRow],
+    audit: AuditLog,
     acceptance_rate: float | None = None,
     n_reps: int | None = None,
 ) -> SimMetrics:
     n_reps = n_reps if n_reps is not None else study.n_reps
     truth = study.truth.as_array()
+    family = _STATUS_FAMILY[audit.status]
+    failed = list(FitStatus).index(FitStatus.FailedToEstimate)
+    unstable = list(FitStatus).index(FitStatus.Unstable)
     cells: dict[tuple[str, str], CellMetrics] = {}
     fail_pct: dict[str, float] = {}
     unstable_pct: dict[str, float] = {}
     for kind in study.estimators:
         name = kind.value
-        rows = [r for r in audit if r.estimator == name]
-        n_fail = sum(r.status.startswith(FitStatus.FailedToEstimate.value) for r in rows)
-        n_unst = sum(r.status.startswith(FitStatus.Unstable.value) for r in rows)
-        fail_pct[name] = 100.0 * n_fail / n_reps
-        unstable_pct[name] = 100.0 * n_unst / n_reps
-        used = [r for r in rows if r.status == FitStatus.Converged.value]
-        est = np.array([[r.e0, r.emax, r.log_ed50] for r in used], dtype=float)
-        se = np.array([[r.se_e0, r.se_emax, r.se_log_ed50] for r in used], dtype=float)
+        mine = audit.estimator == _KINDS.index(name)
+        fail_pct[name] = 100.0 * int(np.count_nonzero(mine & (family == failed))) / n_reps
+        unstable_pct[name] = 100.0 * int(np.count_nonzero(mine & (family == unstable))) / n_reps
+        used = mine & (audit.status == _CONVERGED)
+        n_used = int(np.count_nonzero(used))
+        est, se = audit.est[used], audit.se[used]
         for j, pname in enumerate(_PARAMS):
-            if len(used) == 0:
+            if n_used == 0:
                 cells[(name, pname)] = CellMetrics(
                     np.nan, np.nan, np.nan, np.nan, np.nan, np.nan, 0
                 )
@@ -241,14 +321,14 @@ def _aggregate(
                 mean_se=float(s.mean()),
                 coverage=float(covered.mean()),
                 mean_ci_length=float((2.0 * _Z95 * s).mean()),
-                n_used=len(used),
+                n_used=n_used,
             )
     return SimMetrics(
         cells=cells,
         fail_pct=fail_pct,
         unstable_pct=unstable_pct,
         n_reps=n_reps,
-        audit=tuple(audit),
+        audit=audit,
         acceptance_rate=acceptance_rate,
     )
 
@@ -265,7 +345,8 @@ def run_study(study: SimStudy) -> SimMetrics:
     order before aggregation, so the output is byte-identical for any
     worker count, and to fitting the replicates one by one.
     """
-    return _aggregate(study, map_chunks(partial(_fit_reps, study), range(study.n_reps)))
+    logs = map_chunks(partial(_fit_reps, study), range(study.n_reps))
+    return _aggregate(study, AuditLog.concat(logs))
 
 
 def run_shape_conditioned_study(
@@ -292,7 +373,7 @@ def run_shape_conditioned_study(
         if classify_shape(generate_dataset(study, r)) is target_shape:
             kept.append(r)
         r += 1
-    audit = map_chunks(partial(_fit_reps, study), kept)
+    audit = AuditLog.concat(map_chunks(partial(_fit_reps, study), kept))
     return _aggregate(study, audit, acceptance_rate=len(kept) / r, n_reps=n_keep)
 
 

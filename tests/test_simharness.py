@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -8,6 +9,7 @@ import pytest
 
 from emaxbr import (
     AUDIT_COLUMNS,
+    AuditLog,
     EmaxParams,
     EstimatorKind,
     FitStatus,
@@ -179,6 +181,20 @@ class TestTables:
         rows = small_metrics.audit
         assert not hasattr(rows[0], "__dict__")
         assert pickle.loads(pickle.dumps(rows)) == rows
+
+    def test_audit_log_rows_hold_python_values(self, small_metrics):
+        log = small_metrics.audit
+        rows = list(log)
+        assert AuditLog.from_rows(rows) == log
+        assert log[1:3] == AuditLog.from_rows(rows[1:3])
+        # A missing value stays None, and a float is a Python float, whose repr
+        # the audit CSV writes (np.float64 prints differently).
+        for row in rows:
+            for v in (row.e0, row.emax, row.log_ed50, row.se_e0, row.se_emax, row.se_log_ed50):
+                assert v is None or type(v) is float
+            assert type(row.rep) is int and type(row.iterations) is int
+        replaced = dataclasses.replace(small_metrics, audit=tuple(rows))
+        assert replaced.audit == log
 
     def test_audit_csv_layout(self, small_metrics):
         lines = audit_csv(small_metrics).splitlines()
