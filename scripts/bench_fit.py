@@ -20,6 +20,12 @@ Measures, against the emaxbr sources under ``--src``:
   datasets from their start points, each dataset alone and all 64 in one
   batch (the private ``_solve_mle``/``_solve_mple``; sources whose solvers
   take one memo run the 64 datasets one by one);
+* microseconds per dataset of the Firth root search and of the Cox-Snell
+  bias step on those 64 datasets, given memos that already hold their MPLE
+  and MLE fits, each dataset alone and all 64 in one batch
+  (``_solve_firth``/``_solve_cox_snell``, likewise);
+* kilobytes a 100-replicate ``run_study`` result keeps allocated
+  (tracemalloc), the study cell's output that a caller holds;
 * milliseconds per ``bootstrap_bands`` call of the MPLE with 200 refits on
   replicate 0 of that cell, with one worker;
 * seconds and peak resident megabytes of a fresh ``python -c "import
@@ -43,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "EMAXBR_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import gc
 import inspect
 import json
 import platform
@@ -50,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,23 +90,55 @@ def _jacobian_calls(emaxbr, data):
 
 
 def _solve_calls(emaxbr, datasets):
-    """MLE and MPLE solves of ``datasets`` from their starts: alone and as one batch."""
+    """Each estimator's solve of ``datasets``, alone and as one batch.
+
+    The MLE and the MPLE run from the memos' starts; Firth and Cox-Snell
+    from memos that already hold the MPLE and MLE fits they build on.
+    """
     est = emaxbr.estimators
     config = emaxbr.SolverConfig()
     starts = emaxbr.batch_starting_values(datasets)
 
-    def memos():
-        return [est._DatasetWork(d, config, s) for d, s in zip(datasets, starts)]
+    def memos(*kinds):
+        works = [est._DatasetWork(d, config, s) for d, s in zip(datasets, starts)]
+        for w in works:
+            for kind in kinds:
+                w.fit(kind)
+        return works
 
+    solved = {
+        "firth": memos(emaxbr.EstimatorKind.MPLE),
+        "coxsnell": memos(emaxbr.EstimatorKind.MLE),
+    }
     calls = {}
-    for kind, solve in (("mle", est._solve_mle), ("mple", est._solve_mple)):
+    for kind, solve in (
+        ("mle", est._solve_mle),
+        ("mple", est._solve_mple),
+        ("firth", est._solve_firth),
+        ("coxsnell", est._solve_cox_snell),
+    ):
+        fresh = (lambda works=solved[kind]: works) if kind in solved else memos
         if "works" in inspect.signature(solve).parameters:
-            calls[f"{kind}_alone"] = lambda solve=solve: [solve([w]) for w in memos()]
-            calls[f"{kind}_batch64"] = lambda solve=solve: solve(memos())
+            calls[f"{kind}_alone"] = lambda solve=solve, fresh=fresh: [solve([w]) for w in fresh()]
+            calls[f"{kind}_batch64"] = lambda solve=solve, fresh=fresh: solve(fresh())
         else:
-            calls[f"{kind}_alone"] = lambda solve=solve: [solve(w) for w in memos()]
+            calls[f"{kind}_alone"] = lambda solve=solve, fresh=fresh: [solve(w) for w in fresh()]
             calls[f"{kind}_batch64"] = calls[f"{kind}_alone"]
     return calls
+
+
+def _retained_kb(emaxbr, study) -> float:
+    """Kilobytes still allocated for a ``run_study(study)`` result once it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = emaxbr.run_study(study)
+        gc.collect()
+        kb = tracemalloc.get_traced_memory()[0] / 1024.0
+    finally:
+        tracemalloc.stop()
+    del result
+    return kb
 
 
 def _import_probe(src: Path, repeats: int = 5) -> dict:
@@ -158,6 +198,7 @@ def measure(emaxbr, repeats: int) -> dict:
     start_us = {name: [] for name in start_calls}
     rates, boot_ms = [], []
     emaxbr.run_study(cell)  # warm-up: imports, allocator and caches
+    result_kb = _retained_kb(emaxbr, cell)
     for _ in range(repeats):
         for name, fn in jac_calls.items():
             jac[name].append(1e6 * _per_call(fn, 0.2))
@@ -186,12 +227,15 @@ def measure(emaxbr, repeats: int) -> dict:
         "starting_values_us_per_dataset": {
             k: statistics.median(v) for k, v in start_us.items()
         },
-        "mle_us_per_dataset": {
-            k.split("_")[1]: statistics.median(v) for k, v in solve_us.items() if k[:4] == "mle_"
+        **{
+            f"{kind}_us_per_dataset": {
+                k.split("_")[1]: statistics.median(v)
+                for k, v in solve_us.items()
+                if k.startswith(f"{kind}_")
+            }
+            for kind in ("mle", "mple", "firth", "coxsnell")
         },
-        "mple_us_per_dataset": {
-            k.split("_")[1]: statistics.median(v) for k, v in solve_us.items() if k[:5] == "mple_"
-        },
+        "study_result_kb": result_kb,
         "bootstrap_mple_200_ms": statistics.median(boot_ms),
         **_import_probe(Path(emaxbr.__file__).resolve().parent.parent),
         "repeats": repeats,

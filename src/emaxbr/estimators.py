@@ -40,13 +40,16 @@ Each fit draws on a per-dataset memo that holds the start point and, once
 solved, one fit per estimator.  A fit made outside a :func:`shared_work`
 block gets a fresh memo, a block of one.  ``shared_work(datasets)`` solves
 the start grids of all its datasets in one batch and keeps one memo per
-dataset until the block ends.  The first request for the MLE or the MPLE of
-any dataset of the block solves that estimator for every dataset of the
-block in one batched ascent and fills every memo; Cox-Snell reuses the
-MLE, Firth leads with the MPLE, and a repeated request returns the memo's
-fit.  Each estimator still passes through one :func:`fit` call, and every
-result is the one a lone ``fit`` call returns.  :func:`fit_all`, the study
-harness, the bootstrap and the command line all fit through such blocks.
+dataset until the block ends.  The first request for an estimator on any
+dataset of the block solves that estimator for every dataset of the block
+in one batch and fills every memo: the MLE and the MPLE in one batched
+ascent, Firth in one stacked root search (:func:`_lm_root`), Cox-Snell in
+one stacked bias step at the block's MLEs, and the instability taxonomy is
+applied to all of a batch's estimates in one pass.  A repeated request
+returns the memo's fit.  Each estimator still passes through one
+:func:`fit` call, and every result is the one a lone ``fit`` call returns.
+:func:`fit_all`, the study harness, the bootstrap and the command line all
+fit through such blocks.
 
 The start grid is solved as one batch, and so are the grids of many
 datasets: :func:`batch_starting_values` stacks ``R x 21`` rows, each with
@@ -73,6 +76,18 @@ stays the public reference API for the cumulant tensors.  The MPLE ascent
 takes its curvature, and its covariance, from the exact penalized Hessian;
 the Firth root-finder takes each accepted point's residual and Jacobian
 from one tensor pass.
+
+One root search
+---------------
+Firth's modified score admits no objective, so its solve is a multi-start
+Levenberg-Marquardt root search, :func:`_lm_root`, which like the ascent
+runs many datasets side by side: each row keeps its own damping, its own
+iteration budget and its own place in its start list, moving on to its next
+start within the same run, and start lists past the first two starts are
+built only for the rows that reach them.  Stacked LAPACK calls that can
+raise for one row (the damped solve, ``inv``, ``pinv``) go through
+:func:`_rowwise`, which gives such a row its lone outcome while the rest of
+the stack still makes one call.
 """
 
 from __future__ import annotations
@@ -81,7 +96,7 @@ import enum
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -231,64 +246,123 @@ def instability_rules(
     is stable.  The estimators classify their fits by the first entry, and
     :func:`emaxbr.diagnostics.stability_report` lists every description.
     """
-    lo = config.ed50_lower_mult * data.dmin_positive()
-    hi = config.ed50_upper_mult * data.dmax()
+    lo, hi = _ed50_bounds(data.doses, config)
+    bound, rel = _rules(params.as_array(), np.full(3, np.nan) if se is None else se, data.doses, config)
     found = []
-    if params.phi > np.log(hi) or params.phi < np.log(lo):
+    if bound:
         text = f"ED50 bound hit: estimate {params.ed50():.4g} outside [{lo:.4g}, {hi:.4g}]"
         found.append((StatusReason.BOUND_HIT, text))
     if se is None:
         return found + [(StatusReason.UNDEFINED_SE, "undefined standard error")]
     limit = config.rel_se_threshold
-    for name, r in zip(("e0", "emax", "log_ed50"), se / np.abs(params.as_array())):
+    for name, r in zip(("e0", "emax", "log_ed50"), rel):
         if r > limit:
             text = f"relative standard error exceeded for {name}: {r:.3g} > {limit:g}"
             found.append((StatusReason.RELATIVE_SE_EXCEEDED, text))
     return found
 
 
+def _ed50_bounds(doses: np.ndarray, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ED50 bounds ``(lo, hi)`` of the datasets whose arms are the last axis of ``doses``."""
+    dmin_pos = np.where(doses > 0, doses, np.inf).min(axis=-1)
+    return config.ed50_lower_mult * dmin_pos, config.ed50_upper_mult * doses[..., -1]
+
+
+def _rules(
+    theta: np.ndarray, se: np.ndarray, doses: np.ndarray, config: SolverConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each ED50 estimate is out of bounds, and each relative standard error.
+
+    Acts on the last axis of every argument, so on one estimate or a stack
+    of them; a NaN standard error (undefined) gives a NaN relative one.
+    """
+    lo, hi = _ed50_bounds(doses, config)
+    phi = theta[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (phi > np.log(hi)) | (phi < np.log(lo)), se / np.abs(theta)
+
+
 def _classify(
     kind: EstimatorKind,
+    works: Sequence[_DatasetWork],
+    reasons: Sequence[StatusReason],
+    iterations: np.ndarray,
     theta: np.ndarray,
-    cov: np.ndarray | None,
-    iterations: int,
-    data: ObservationSet,
-    config: SolverConfig,
-    base_mle: EmaxParams | None = None,
-) -> FitResult:
-    """Apply the shared instability taxonomy to a finite estimate."""
-    params = EmaxParams.from_array(theta)
-    se = None if cov is None else _safe_se(cov)
-    broken = instability_rules(params, se, data, config)
-    reason = broken[0][0] if broken else StatusReason.NONE
-    return FitResult(
-        kind=kind,
-        status=FitStatus.Unstable if broken else FitStatus.Converged,
-        status_reason=reason,
-        iterations=iterations,
-        params=params,
-        covariance=None if reason is StatusReason.UNDEFINED_SE else cov,
-        std_errors=se,
-        base_mle=base_mle,
-    )
+    cov: np.ndarray,
+    has_cov: np.ndarray | None = None,
+    base_mle: Sequence[EmaxParams | None] | None = None,
+) -> list[FitResult]:
+    """Each memo's fit, with the shared instability taxonomy applied in one pass.
+
+    Row ``r`` belongs to the dataset of ``works[r]``.  Where ``reasons[r]``
+    is not ``NONE`` the fit failed for that reason.  Otherwise ``theta[r]``
+    is a finite estimate with covariance ``cov[r]`` (absent where
+    ``has_cov[r]`` is False).  The standard errors and the rules are
+    evaluated for all rows at once; :func:`instability_rules` names the
+    first broken rule only for the rows that break one.
+    """
+    out: list[FitResult | None] = [None] * len(works)
+    ok = []
+    for r, reason in enumerate(reasons):
+        if reason is StatusReason.NONE:
+            ok.append(r)
+        else:
+            out[r] = _failed(kind, reason, int(iterations[r]))
+    if not ok:
+        return out
+    config = works[0].config
+    theta, cov = theta[ok], cov[ok]
+    has_cov = np.ones(len(ok), dtype=bool) if has_cov is None else has_cov[ok]
+    diag = np.diagonal(cov, axis1=1, axis2=2)
+    with np.errstate(invalid="ignore"):
+        defined = has_cov & np.isfinite(diag).all(axis=1) & (diag > 0).all(axis=1)
+        se = np.sqrt(np.where(defined[:, None], diag, np.nan))
+    bound, rel = _rules(theta, se, np.stack([works[r].data.doses for r in ok]), config)
+    stable = ~bound & defined & ~(rel > config.rel_se_threshold).any(axis=1)
+    for j, r in enumerate(ok):
+        params = EmaxParams.from_array(theta[j])
+        row_se = se[j] if defined[j] else None
+        reason = StatusReason.NONE
+        if not stable[j]:
+            reason = instability_rules(params, row_se, works[r].data, config)[0][0]
+        out[r] = FitResult(
+            kind=kind,
+            status=FitStatus.Converged if stable[j] else FitStatus.Unstable,
+            status_reason=reason,
+            iterations=int(iterations[r]),
+            params=params,
+            covariance=cov[j] if has_cov[j] and reason is not StatusReason.UNDEFINED_SE else None,
+            std_errors=row_se,
+            base_mle=None if base_mle is None else base_mle[r],
+        )
+    return out
 
 
 def _failed(kind: EstimatorKind, reason: StatusReason, iterations: int) -> FitResult:
     return FitResult(kind, FitStatus.FailedToEstimate, reason, iterations)
 
 
-def _safe_se(cov: np.ndarray) -> np.ndarray | None:
-    d = np.diag(cov)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        return None
-    return np.sqrt(d)
+def _rowwise(func, *args) -> tuple[np.ndarray, np.ndarray]:
+    """``func(*args)`` on stacked rows, and the rows on which it raised ``LinAlgError``.
 
-
-def _inverse_or_none(a: np.ndarray) -> np.ndarray | None:
+    ``func`` is a stacked LAPACK call such as ``np.linalg.solve``, ``inv``
+    or ``pinv``: it maps the leading axis of its arguments row by row, and
+    its result has the shape of its last argument.  A stack on which it
+    raises is bisected until each raising row stands alone, so every other
+    row still gets the LAPACK call of one stacked call (a stack of N rows
+    with k such rows costs about ``2 k log2(N)`` calls), and each row gets
+    its lone outcome: its result, or NaN and a set flag where the lone call
+    raises.
+    """
     try:
-        return np.linalg.inv(a)
+        return func(*args), np.zeros(len(args[0]), dtype=bool)
     except np.linalg.LinAlgError:
-        return None
+        if len(args[0]) == 1:
+            return np.full(args[-1].shape, np.nan), np.ones(1, dtype=bool)
+        mid = len(args[0]) // 2
+        lo = _rowwise(func, *(a[:mid] for a in args))
+        hi = _rowwise(func, *(a[mid:] for a in args))
+        return np.concatenate([lo[0], hi[0]]), np.concatenate([lo[1], hi[1]])
 
 
 def _t(x: np.ndarray) -> np.ndarray:
@@ -361,9 +435,9 @@ class _DatasetWork:
 
     Holds the start point, given when the memo is built, and one fit per
     estimator, each solved on first request.  ``block`` lists the memos
-    whose MLE and MPLE are solved together: the first request for either on
-    any of them solves it for every memo of the block in one batch.  Every
-    fitter obtains a memo through :func:`_work`.
+    whose fits are solved together: the first request for an estimator on
+    any of them solves it for every memo of the block that lacks it, in one
+    batch.  Every fitter obtains a memo through :func:`_work`.
     """
 
     def __init__(self, data: ObservationSet, config: SolverConfig, start: EmaxParams):
@@ -375,15 +449,15 @@ class _DatasetWork:
 
     def fit(self, kind: EstimatorKind) -> FitResult:
         if kind not in self.fits:
-            if kind is EstimatorKind.MLE or kind is EstimatorKind.MPLE:
-                todo = [w for w in self.block if kind not in w.fits]
-                solve = _solve_mle if kind is EstimatorKind.MLE else _solve_mple
-                for work, res in zip(todo, solve(todo)):
-                    work.fits[kind] = res
-            elif kind is EstimatorKind.CoxSnell:
-                self.fits[kind] = _solve_cox_snell(self)
-            else:
-                self.fits[kind] = _solve_firth(self)
+            todo = [w for w in self.block if kind not in w.fits]
+            solve = {
+                EstimatorKind.MLE: _solve_mle,
+                EstimatorKind.CoxSnell: _solve_cox_snell,
+                EstimatorKind.Firth: _solve_firth,
+                EstimatorKind.MPLE: _solve_mple,
+            }[kind]
+            for work, res in zip(todo, solve(todo)):
+                work.fits[kind] = res
         return self.fits[kind]
 
 
@@ -396,14 +470,17 @@ class _Rows(NamedTuple):
 
 
 class _Stack:
-    """The stacked arms of the datasets of a batched ascent."""
+    """The stacked arms of the datasets of a batched solve."""
 
     def __init__(self, datasets: Sequence[ObservationSet]):
         self.rows = _Rows(*(np.stack([getattr(d, f) for d in datasets]) for f in _Rows._fields))
 
+    def take(self, idx: np.ndarray) -> _Rows:
+        return _Rows(*(x[idx] for x in self.rows))
+
     def tensors(self, theta: np.ndarray, idx: np.ndarray) -> tuple[DerivTensors, _Rows]:
         """Tensors of rows ``idx`` at their points ``theta``, and those rows."""
-        rows = _Rows(*(x[idx] for x in self.rows))
+        rows = self.take(idx)
         return stacked_deriv_tensors(theta, rows.doses), rows
 
 
@@ -435,23 +512,6 @@ _GRID_STEP_TOL = 1e-8
 def _loglik_rows(lin: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Log-likelihood of each row of linear predictors (one column per arm)."""
     return (y * log_expit(lin) + (n - y) * log_expit(-lin)).sum(axis=1)
-
-
-def _solve_rows(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve each 2x2 system ``h[k] s = g[k]``; a singular system yields NaN.
-
-    A stack that holds a singular system is bisected until each singular
-    system stands alone, so every regular system still gets the LAPACK call
-    of one stacked solve, and a stack of N rows with k singular ones costs
-    about ``2 k log2(N)`` solve calls.
-    """
-    try:
-        return np.linalg.solve(h, g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if len(h) == 1:
-            return np.full(g.shape, np.nan)
-        mid = len(h) // 2
-        return np.concatenate([_solve_rows(h[:mid], g[:mid]), _solve_rows(h[mid:], g[mid:])])
 
 
 def starting_values(data: ObservationSet) -> EmaxParams:
@@ -529,9 +589,9 @@ def _grid_batch(datasets: Sequence[ObservationSet]) -> tuple[np.ndarray, ...]:
             pi = expit((x @ abl[:, :, None])[:, :, 0])
             wt = nl * pi * (1.0 - pi)
             xt = x.transpose(0, 2, 1)
-            step = _solve_rows(
-                xt @ (wt[:, :, None] * x), (xt @ (yl - nl * pi)[:, :, None])[:, :, 0]
-            )
+            step = _rowwise(
+                np.linalg.solve, xt @ (wt[:, :, None] * x), xt @ (yl - nl * pi)[:, :, None]
+            )[0][:, :, 0]
             solvable = np.isfinite(step).all(axis=1)
             lam = np.ones(live.size)
             searching = solvable.copy()
@@ -694,19 +754,14 @@ def _solve_mle(works: Sequence[_DatasetWork]) -> list[FitResult]:
         return (np.abs(theta[:, :2]) > _DIVERGENCE_BOUND).any(axis=1)
 
     run = _ascend(np.stack([w.start for w in works]), value, derivs, diverged, works[0].config)
-    out = []
-    for r, work in enumerate(works):
-        it, reason = int(run.iterations[r]), run.reasons[r]
-        if reason is not StatusReason.NONE:
-            out.append(_failed(EstimatorKind.MLE, reason, it))
-            continue
+    reasons = list(run.reasons)
+    cov = np.full_like(run.hessian, np.nan)
+    for r in np.flatnonzero([reason is StatusReason.NONE for reason in reasons]):
         try:
-            cov = invert_information(-run.hessian[r])
+            cov[r] = invert_information(-run.hessian[r])
         except SingularInformation:
-            out.append(_failed(EstimatorKind.MLE, StatusReason.SINGULAR_INFORMATION, it))
-            continue
-        out.append(_classify(EstimatorKind.MLE, run.theta[r], cov, it, work.data, work.config))
-    return out
+            reasons[r] = StatusReason.SINGULAR_INFORMATION
+    return _classify(EstimatorKind.MLE, works, reasons, run.iterations, run.theta, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -732,34 +787,48 @@ def cox_snell_bias(params: EmaxParams, data: ObservationSet) -> np.ndarray:
 def fit_cox_snell(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
     """Bias-corrected MLE: fit, subtract the analytic bias, reclassify.
 
-    MLE failures propagate verbatim.  The covariance is inherited from the
+    MLE failures propagate verbatim; a singular information at the MLE is
+    ``SINGULAR_INFORMATION`` and a non-finite corrected point
+    ``NON_FINITE``.  The covariance is inherited from the
     maximum-likelihood fit: the corrected point is not a stationary point of
     the likelihood, so the local Hessian there is not a valid curvature
     estimate (and is frequently indefinite when the correction is large).
+    Inside a :func:`shared_work` block the first request corrects the MLE
+    of every dataset of the block in one stacked bias step.
     """
     return _work(data, config).fit(EstimatorKind.CoxSnell)
 
 
-def _solve_cox_snell(work: _DatasetWork) -> FitResult:
-    data, config = work.data, work.config
-    base = work.fit(EstimatorKind.MLE)
-    if base.status is FitStatus.FailedToEstimate:
-        return replace(base, kind=EstimatorKind.CoxSnell)
-    try:
-        bias = _bias_at(_point(deriv_tensors(base.params, data), data, np.linalg.inv))
-    except np.linalg.LinAlgError:
-        return _failed(EstimatorKind.CoxSnell, StatusReason.SINGULAR_INFORMATION, base.iterations)
-    corrected = base.params.as_array() - bias
-    if not np.all(np.isfinite(corrected)):
-        return _failed(EstimatorKind.CoxSnell, StatusReason.NON_FINITE, base.iterations)
+def _solve_cox_snell(works: Sequence[_DatasetWork]) -> list[FitResult]:
+    """The Cox-Snell fit of each memo's dataset: one stacked bias step at their MLEs."""
+    bases = [w.fit(EstimatorKind.MLE) for w in works]
+    ok = [r for r, base in enumerate(bases) if base.params is not None]
+    reasons = [base.status_reason if base.params is None else StatusReason.NONE for base in bases]
+    theta = np.full((len(works), 3), np.nan)
+    cov = np.full((len(works), 3, 3), np.nan)
+    has_cov = np.array([base.covariance is not None for base in bases])
+    if ok:
+        mle = np.stack([bases[r].params.as_array() for r in ok])
+        tens, rows = _Stack([works[r].data for r in ok]).tensors(mle, np.arange(len(ok)))
+        inv, singular = _rowwise(np.linalg.inv, information_from(tens, rows))
+        theta[ok] = mle - _bias_at(_point(tens, rows, lambda info: inv))
+        for j, r in enumerate(ok):
+            if singular[j]:
+                reasons[r] = StatusReason.SINGULAR_INFORMATION
+            elif not np.isfinite(theta[r]).all():
+                reasons[r] = StatusReason.NON_FINITE
+            elif has_cov[r]:
+                cov[r] = bases[r].covariance
+    iterations = np.array([base.iterations for base in bases])
     return _classify(
         EstimatorKind.CoxSnell,
-        corrected,
-        base.covariance,
-        base.iterations,
-        data,
-        config,
-        base_mle=base.params,
+        works,
+        reasons,
+        iterations,
+        theta,
+        cov,
+        has_cov=has_cov,
+        base_mle=[base.params for base in bases],
     )
 
 
@@ -801,131 +870,214 @@ def firth_modified_score(params: EmaxParams, data: ObservationSet) -> np.ndarray
     return _modified_score_at(_point(deriv_tensors(params, data), data, invert_information), data)
 
 
-def _firth_point(theta: np.ndarray, data: ObservationSet) -> tuple[np.ndarray, _Point | None]:
-    """Modified score at ``theta``, tolerating the degenerate far field, and its point.
+# The root search tries up to this many starts per dataset (see _firth_starts).
+_FIRTH_STARTS = 9
 
-    Far from the data-supported region the expected information loses rank;
-    a pseudo-inverse keeps the equations defined there so that the
-    root-finder can traverse (and terminate in) boundary plateaus.
-    Numerical breakdown surfaces as NaN entries and no point, which the
-    root-finder rejects like any other non-finite evaluation.
+
+def _firth_starts(rows: _Rows, lead: np.ndarray) -> np.ndarray:
+    """Starts 2-8 of the modified-score search of each row, shape ``(K, 7, 3)``.
+
+    The search leads with the penalized-likelihood maximizer ``lead`` (it
+    is typically within a few steps of the modified-score root), then the
+    profiled grid start.  The starts built here follow: two closed-form
+    boundary limits, the pooled intercept-only fit (the exact root limit as
+    ED50 grows without bound) and the control-versus-pooled-treated
+    two-group fit (the limit as ED50 shrinks to zero), each on
+    continuity-corrected logits; then a ladder of five ED50 displacements of
+    the leading start, spanning ``log(0.1 * D_min_pos)`` to ``log(5 * D_max)``.
     """
-    if not np.all(np.isfinite(theta)):
-        return np.full(3, np.nan), None
-    try:
-        pt = _point(deriv_tensors(EmaxParams.from_array(theta), data), data, np.linalg.pinv)
-    except np.linalg.LinAlgError:
-        return np.full(3, np.nan), None
-    return _modified_score_at(pt, data), pt
+
+    def logit(events, n):
+        return np.log((events + 0.5) / (n - events + 0.5))
+
+    pos = rows.doses > 0
+    d2, dmax = np.where(pos, rows.doses, np.inf).min(axis=1), rows.doses[:, -1]
+    e0_ctl = logit((rows.events * ~pos).sum(axis=1), (rows.n * ~pos).sum(axis=1))
+    e_trt = logit((rows.events * pos).sum(axis=1), (rows.n * pos).sum(axis=1))
+    out = np.repeat(lead[:, None, :], 7, axis=1)
+    e0_pool = logit(rows.events.sum(axis=1), rows.n.sum(axis=1))
+    out[:, 0] = np.stack([e0_pool, np.zeros_like(dmax), np.log(dmax) + 20.0], axis=1)
+    out[:, 1] = np.stack([e0_ctl, e_trt - e0_ctl, np.log(d2) - 20.0], axis=1)
+    out[:, 2:, 2] = np.linspace(np.log(0.1 * d2), np.log(5.0 * dmax), 5, axis=1)
+    return out
 
 
-def _lm_root(data: ObservationSet, theta0: np.ndarray, max_iter: int, grad_tol: float):
-    """Damped least-squares root-finder on the modified score equations.
+def _take(pt: _Point, idx) -> _Point:
+    """Rows ``idx`` of a stacked point."""
+    tens = DerivTensors(**{k: v[idx] for k, v in vars(pt.tens).items()})
+    return _Point(tens, *(x[idx] for x in pt[1:]))
 
-    Each iteration solves ``(J^T J + mu I) step = -J^T F`` with the exact
-    Jacobian at the current point, clips the step componentwise to [-2, 2],
-    and accepts only norm-reducing moves (the equations admit no objective,
-    so the residual norm is the only merit function).  The point of an
-    accepted candidate supplies both its residual and its Jacobian.
-    Returns ``(theta, point, iterations, converged)``.
+
+def _put(dst: _Point, idx, src: _Point) -> None:
+    """Write the rows of ``src`` into rows ``idx`` of ``dst``."""
+    for k, v in vars(src.tens).items():
+        getattr(dst.tens, k)[idx] = v
+    for x, y in zip(dst[1:], src[1:]):
+        x[idx] = y
+
+
+class _Roots(NamedTuple):
+    """Where :func:`_lm_root` stopped, one row per dataset.
+
+    ``point[r]`` is the stacked point at ``theta[r]``; ``iterations[r]``
+    counts the iterations of every start row ``r`` tried.
     """
-    theta = theta0.copy()
-    fx, pt = _firth_point(theta, data)
-    if not np.all(np.isfinite(fx)):
-        return theta, pt, 0, False
-    norm = float(np.linalg.norm(fx))
-    mu = 0.0
-    it = 0
-    while it < max_iter:
-        it += 1
-        if np.max(np.abs(fx)) <= grad_tol:
-            return theta, pt, it, True
-        jac = _modified_jacobian_at(pt, data)
-        accepted = False
-        mu_try = mu
+
+    theta: np.ndarray
+    point: _Point
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
+def _lm_root(stack: _Stack, lead: np.ndarray, grid: np.ndarray, config: SolverConfig) -> _Roots:
+    """Multi-start damped least-squares root search on the modified score, row by row.
+
+    Row ``r`` seeks a root for the dataset in row ``r`` of ``stack``, trying
+    in turn the starts ``lead[r]``, ``grid[r]`` and those of
+    :func:`_firth_starts`, which are built only for the rows that reach
+    them.  Each start runs Levenberg-Marquardt: an iteration solves ``(J^T J
+    + mu I) step = -J^T F`` with the exact Jacobian at the current point,
+    clips the step componentwise to [-2, 2] and accepts only a finite,
+    norm-reducing candidate (the equations admit no objective, so the
+    residual norm is the only merit function), multiplying ``mu`` by 10 (at
+    least to 1e-8) after each of up to 40 rejected tries and dividing it by
+    3 after an acceptance.  A start converges when ``max|F| <= grad_tol``;
+    it fails when its residual is not finite there, when a damping search
+    fails, or after ``max(50, max_iter - iterations so far)`` iterations, and
+    the row then moves on to its next start within the same run.  The point
+    of an accepted candidate supplies both its residual and its Jacobian.
+
+    Each NumPy call serves every row still searching, with per-row masks for
+    the rows still iterating and still damping; stacked LAPACK calls go
+    through :func:`_rowwise`, and sums run along a row's own arms.  So each
+    row follows the start sequence of its lone search exactly, and its
+    result does not depend on the other rows.
+    """
+
+    # Row sets are sorted, so a set as large as the stack is the whole stack.
+    def arms(idx):
+        return stack.rows if idx.size == n_rows else stack.take(idx)
+
+    def residual(theta, idx):
+        rows = arms(idx)
+        pt = _point(
+            stacked_deriv_tensors(theta, rows.doses),
+            rows,
+            lambda info: _rowwise(np.linalg.pinv, info)[0],
+        )
+        return _modified_score_at(pt, rows), pt
+
+    def norm_of(f):
+        # sqrt(f . f) per row: the BLAS dot of np.linalg.norm on one vector.
+        return np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
+
+    n_rows = len(lead)
+    starts = np.full((n_rows, _FIRTH_STARTS, 3), np.nan)
+    starts[:, 0], starts[:, 1] = lead, grid
+    listed = np.zeros(n_rows, dtype=bool)  # rows whose starts 2- are built
+    start = np.zeros(n_rows, dtype=int)
+    it = np.zeros(n_rows, dtype=int)  # iterations of the current start
+    total = np.zeros(n_rows, dtype=int)  # iterations of the finished starts
+    budget = np.full(n_rows, max(50, config.max_iter))
+    mu = np.zeros(n_rows)
+    converged = np.zeros(n_rows, dtype=bool)
+    theta = starts[:, 0].copy()
+    fx, pt = residual(theta, np.arange(n_rows))
+    norm = norm_of(fx)
+
+    def next_start(idx):
+        """Move rows ``idx`` past their failed start; return those now iterating."""
+        ready = [np.zeros(0, dtype=int)]
+        while idx.size:
+            total[idx] += it[idx]
+            it[idx] = 0
+            start[idx] += 1
+            idx = idx[start[idx] < _FIRTH_STARTS]
+            build = idx[(start[idx] >= 2) & ~listed[idx]]
+            if build.size:
+                starts[build, 2:] = _firth_starts(stack.take(build), lead[build])
+                listed[build] = True
+            theta[idx] = starts[idx, start[idx]]
+            fx[idx], new = residual(theta[idx], idx)
+            _put(pt, idx, new)
+            norm[idx] = norm_of(fx[idx])
+            mu[idx] = 0.0
+            budget[idx] = np.maximum(50, config.max_iter - total[idx])
+            finite = np.isfinite(fx[idx]).all(axis=1)
+            ready.append(idx[finite])
+            idx = idx[~finite]
+        return np.concatenate(ready)
+
+    finite = np.isfinite(fx).all(axis=1)
+    live = np.sort(np.concatenate([finite.nonzero()[0], next_start((~finite).nonzero()[0])]))
+    eye = np.eye(3)
+    while live.size:
+        it[live] += 1
+        done = np.abs(fx[live]).max(axis=1) <= config.grad_tol
+        converged[live[done]] = True
+        total[live[done]] += it[live[done]]
+        live = live[~done]
+        if not live.size:
+            break
+        jac = _modified_jacobian_at(pt if live.size == n_rows else _take(pt, live), arms(live))
+        jtj, jtf = _t(jac) @ jac, -_t(jac) @ fx[live][:, :, None]
+        mu_try = mu[live]
+        searching = np.ones(live.size, dtype=bool)
         for _ in range(40):
-            try:
-                step = np.linalg.solve(jac.T @ jac + mu_try * np.eye(3), -jac.T @ fx)
-            except np.linalg.LinAlgError:
-                mu_try = max(mu_try * 10.0, 1e-8)
-                continue
-            step = np.clip(step, -2.0, 2.0)
-            cand = theta + step
-            fc, cand_pt = _firth_point(cand, data)
-            if np.all(np.isfinite(fc)) and np.linalg.norm(fc) < norm:
-                accepted = True
+            sel = searching.nonzero()[0]
+            if not sel.size:
                 break
-            mu_try = max(mu_try * 10.0, 1e-8)
-        if not accepted:
-            return theta, pt, it, False
-        mu = mu_try / 3.0
-        theta, fx, pt, norm = cand, fc, cand_pt, float(np.linalg.norm(fc))
-    return theta, pt, max_iter, False
-
-
-def _adjusted_logit(k: float, n: float) -> float:
-    return float(np.log((k + 0.5) / (n - k + 0.5)))
-
-
-def _firth_starts(
-    data: ObservationSet, mple_start: np.ndarray, grid_start: np.ndarray
-) -> list[np.ndarray]:
-    """Start sequence for the modified-score solve.
-
-    The penalized-likelihood maximizer leads (it is typically within a few
-    steps of the modified-score root); then the profiled grid start; then
-    two closed-form boundary limits — the pooled intercept-only fit (the
-    exact root limit as ED50 grows without bound) and the control-versus-
-    pooled-treated two-group fit (the limit as ED50 shrinks to zero) — and
-    finally a short ladder of ED50 displacements of the leading start.
-    """
-    d2 = data.dmin_positive()
-    dmax = data.dmax()
-    pos = data.doses > 0
-    e0_pool = _adjusted_logit(data.events.sum(), data.n.sum())
-    e0_ctl = _adjusted_logit(data.events[~pos].sum(), data.n[~pos].sum())
-    e_trt = _adjusted_logit(data.events[pos].sum(), data.n[pos].sum())
-    starts = [
-        mple_start,
-        grid_start,
-        np.array([e0_pool, 0.0, np.log(dmax) + 20.0]),
-        np.array([e0_ctl, e_trt - e0_ctl, np.log(d2) - 20.0]),
-    ]
-    for phi in np.linspace(np.log(0.1 * d2), np.log(5.0 * dmax), 5):
-        alt = mple_start.copy()
-        alt[2] = phi
-        starts.append(alt)
-    return starts
+            step, _ = _rowwise(np.linalg.solve, jtj[sel] + mu_try[sel, None, None] * eye, jtf[sel])
+            cand = theta[live[sel]] + np.clip(step[:, :, 0], -2.0, 2.0)
+            fc = np.full(cand.shape, np.nan)
+            evaluated = np.isfinite(cand).all(axis=1)
+            if evaluated.any():
+                fc[evaluated], cand_pt = residual(cand[evaluated], live[sel[evaluated]])
+            cand_norm = norm_of(fc)
+            ok = np.isfinite(fc).all(axis=1) & (cand_norm < norm[live[sel]])
+            took = live[sel[ok]]
+            theta[took], fx[took], norm[took] = cand[ok], fc[ok], cand_norm[ok]
+            if took.size:
+                _put(pt, took, cand_pt if ok.all() else _take(cand_pt, ok[evaluated]))
+            searching[sel[ok]] = False
+            mu_try[sel[~ok]] = np.maximum(mu_try[sel[~ok]] * 10.0, 1e-8)
+        mu[live[~searching]] = mu_try[~searching] / 3.0
+        stop = searching | (it[live] >= budget[live])
+        if stop.any():
+            live = np.sort(np.concatenate([live[~stop], next_start(live[stop])]))
+    return _Roots(theta, pt, total, converged)
 
 
 def fit_firth(data: ObservationSet, config: SolverConfig = SolverConfig()) -> FitResult:
     """Solve the modified score equations and classify the root.
 
-    Multi-start Levenberg-Marquardt root-finding with the exact Jacobian of
-    the modified score and trust clamping; covariance from the inverse
-    negative Hessian at the root, taken from the derivative tensors the
-    root-finder already holds there.  Roots in the degenerate far field
-    (huge or tiny ED50) are genuine solutions of the estimating equations
-    and surface as ``Unstable`` bound hits rather than failures.
+    Multi-start Levenberg-Marquardt root-finding (:func:`_lm_root`) with the
+    exact Jacobian of the modified score and trust clamping, led by the
+    MPLE; covariance from the inverse negative Hessian at the root, taken
+    from the derivative tensors the root-finder already holds there.  Roots
+    in the degenerate far field (huge or tiny ED50) are genuine solutions
+    of the estimating equations and surface as ``Unstable`` bound hits
+    rather than failures.  Inside a :func:`shared_work` block the first
+    request solves the Firth fit of every dataset of the block in one
+    stacked run, whose start lists are built only for the datasets that get
+    past their first two starts.
     """
     return _work(data, config).fit(EstimatorKind.Firth)
 
 
-def _solve_firth(work: _DatasetWork) -> FitResult:
-    data, config = work.data, work.config
-    mple = work.fit(EstimatorKind.MPLE)
-    lead = mple.params.as_array() if mple.params is not None else work.start
-    total_it = 0
-    for theta0 in _firth_starts(data, lead, work.start):
-        budget = max(50, config.max_iter - total_it)
-        theta, pt, it, ok = _lm_root(data, theta0, budget, config.grad_tol)
-        total_it += it
-        if ok:
-            break
-    else:
-        return _failed(EstimatorKind.Firth, StatusReason.NON_CONVERGENCE, total_it)
-    cov = _inverse_or_none(-hessian_from(pt.tens, data))
-    return _classify(EstimatorKind.Firth, theta, cov, total_it, data, config)
+def _solve_firth(works: Sequence[_DatasetWork]) -> list[FitResult]:
+    """The Firth fit of each memo's dataset, all roots sought in one stacked run."""
+    mples = [w.fit(EstimatorKind.MPLE) for w in works]
+    lead = np.stack(
+        [w.start if m.params is None else m.params.as_array() for w, m in zip(works, mples)]
+    )
+    stack = _Stack([w.data for w in works])
+    run = _lm_root(stack, lead, np.stack([w.start for w in works]), works[0].config)
+    cov, singular = _rowwise(np.linalg.inv, -hessian_from(run.point.tens, stack.rows))
+    reasons = [StatusReason.NONE if c else StatusReason.NON_CONVERGENCE for c in run.converged]
+    return _classify(
+        EstimatorKind.Firth, works, reasons, run.iterations, run.theta, cov, has_cov=~singular
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1029,15 +1181,10 @@ def _solve_mple(works: Sequence[_DatasetWork]) -> list[FitResult]:
         return np.zeros(len(theta), dtype=bool)
 
     run = _ascend(np.stack([w.start for w in works]), value, derivs, diverged, works[0].config)
-    out = []
-    for r, work in enumerate(works):
-        it, reason = int(run.iterations[r]), run.reasons[r]
-        if reason is not StatusReason.NONE:
-            out.append(_failed(EstimatorKind.MPLE, reason, it))
-            continue
-        cov = _inverse_or_none(-run.hessian[r])
-        out.append(_classify(EstimatorKind.MPLE, run.theta[r], cov, it, work.data, work.config))
-    return out
+    cov, singular = _rowwise(np.linalg.inv, -run.hessian)
+    return _classify(
+        EstimatorKind.MPLE, works, run.reasons, run.iterations, run.theta, cov, has_cov=~singular
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1091,8 +1238,8 @@ def fit_quadratic_logit(
     run = _ascend(np.zeros((1, 3)), value, derivs, diverged, config)
     reason, iterations = run.reasons[0], int(run.iterations[0])
     if reason is StatusReason.NONE:
-        cov_scaled = _inverse_or_none(-run.hessian[0])
-        if cov_scaled is None:
+        cov_scaled, singular = _rowwise(np.linalg.inv, -run.hessian)
+        if singular[0]:
             reason = StatusReason.SINGULAR_INFORMATION
     if reason is not StatusReason.NONE:
         return QuadraticLogitFit(FitStatus.FailedToEstimate, reason, None, None, None, iterations)
@@ -1101,7 +1248,7 @@ def fit_quadratic_logit(
     coefs = s @ run.theta[0]
     peak = float(-coefs[1] / (2.0 * coefs[2])) if coefs[2] < 0 else None
     return QuadraticLogitFit(
-        FitStatus.Converged, StatusReason.NONE, coefs, s @ cov_scaled @ s, peak, iterations
+        FitStatus.Converged, StatusReason.NONE, coefs, s @ cov_scaled[0] @ s, peak, iterations
     )
 
 

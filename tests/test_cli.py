@@ -203,17 +203,18 @@ class TestFitCommand:
     def test_bootstrap_reuses_the_firth_point_fit(self, turandot_path, capsys, monkeypatch):
         monkeypatch.setenv("EMAXBR_THREADS", "1")
         searches = []
-        starts = estimators._firth_starts
+        solve = estimators._solve_firth
         monkeypatch.setattr(
-            estimators, "_firth_starts", lambda *args: searches.append(1) or starts(*args)
+            estimators, "_solve_firth", lambda works: searches.append(len(works)) or solve(works)
         )
         code, out = _run(
             ["fit", "--data", turandot_path, "--estimator", "firth", "--boot", "100", "--seed", "4"],
             capsys,
         )
-        # One Firth search shared by the report and the bands, then 100 refits.
-        assert len(searches) == 101
-        monkeypatch.setattr(estimators, "_firth_starts", starts)
+        # One Firth search shared by the report and the bands, then 100 refits
+        # in two blocks of 50.
+        assert searches == [1, 50, 50]
+        monkeypatch.setattr(estimators, "_solve_firth", solve)
 
         data = _read_data(turandot_path, "aggregated")
         point = fit(EstimatorKind.Firth, data)

@@ -27,7 +27,7 @@ from emaxbr import (
     log_likelihood,
     starting_values,
 )
-from emaxbr.estimators import _grid_batch, _solve_rows
+from emaxbr.estimators import _grid_batch, _rowwise
 
 TOL = 1e-6
 # Grid points whose profiled log-likelihoods lie this close are near-ties:
@@ -201,12 +201,14 @@ def test_solve_rows_bisects_around_singular_systems(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
-    got = _solve_rows(h, g)
+    got, raised = _rowwise(np.linalg.solve, h, g[:, :, None])
+    got = got[:, :, 0]
     np.testing.assert_array_equal(got, want)
     assert np.isnan(got[singular]).all()
+    assert raised.nonzero()[0].tolist() == singular
     # Each singular row fails one stack per bisection level, and each failed
     # stack costs two more calls.
     assert len(calls) <= 1 + 2 * len(singular) * math.ceil(math.log2(n_rows))
     calls.clear()
-    _solve_rows(np.delete(h, singular, axis=0), np.delete(g, singular, axis=0))
+    _rowwise(np.linalg.solve, np.delete(h, singular, axis=0), np.delete(g, singular, axis=0)[:, :, None])
     assert calls == [n_rows - len(singular)]
