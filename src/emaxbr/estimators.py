@@ -247,7 +247,8 @@ def instability_rules(
     :func:`emaxbr.diagnostics.stability_report` lists every description.
     """
     lo, hi = _ed50_bounds(data.doses, config)
-    bound, rel = _rules(params.as_array(), np.full(3, np.nan) if se is None else se, data.doses, config)
+    se_or_nan = np.full(3, np.nan) if se is None else se
+    bound, rel = _rules(params.as_array(), se_or_nan, data.doses, config)
     found = []
     if bound:
         text = f"ED50 bound hit: estimate {params.ed50():.4g} outside [{lo:.4g}, {hi:.4g}]"
@@ -894,8 +895,8 @@ def _firth_starts(rows: _Rows, lead: np.ndarray) -> np.ndarray:
     d2, dmax = np.where(pos, rows.doses, np.inf).min(axis=1), rows.doses[:, -1]
     e0_ctl = logit((rows.events * ~pos).sum(axis=1), (rows.n * ~pos).sum(axis=1))
     e_trt = logit((rows.events * pos).sum(axis=1), (rows.n * pos).sum(axis=1))
-    out = np.repeat(lead[:, None, :], 7, axis=1)
     e0_pool = logit(rows.events.sum(axis=1), rows.n.sum(axis=1))
+    out = np.repeat(lead[:, None, :], 7, axis=1)
     out[:, 0] = np.stack([e0_pool, np.zeros_like(dmax), np.log(dmax) + 20.0], axis=1)
     out[:, 1] = np.stack([e0_ctl, e_trt - e0_ctl, np.log(d2) - 20.0], axis=1)
     out[:, 2:, 2] = np.linspace(np.log(0.1 * d2), np.log(5.0 * dmax), 5, axis=1)

@@ -28,7 +28,6 @@ from ._pool import map_chunks
 from .diagnostics import Shape, classify_shape
 from .estimators import (
     EstimatorKind,
-    FitResult,
     FitStatus,
     SolverConfig,
     StatusReason,
@@ -138,13 +137,13 @@ class AuditRow:
     iterations: int
 
 
-# Every status an audit row can carry, "<status>" or "<status>:<reason>";
-# an audit log stores its index into this tuple.
-_STATUS_TEXTS = tuple(
-    s.value if r is StatusReason.NONE else f"{s.value}:{r.value}"
-    for s in FitStatus
-    for r in StatusReason
-)
+def _status_text(status: FitStatus, reason: StatusReason) -> str:
+    """An audit row's status: ``"<status>"`` or ``"<status>:<reason>"``."""
+    return status.value if reason is StatusReason.NONE else f"{status.value}:{reason.value}"
+
+
+# Every status an audit row can carry; an audit log stores its index here.
+_STATUS_TEXTS = tuple(_status_text(s, r) for s in FitStatus for r in StatusReason)
 _STATUS_CODES = {text: code for code, text in enumerate(_STATUS_TEXTS)}
 _CONVERGED = _STATUS_CODES[FitStatus.Converged.value]
 # The FitStatus of each status code, as an index into FitStatus.
@@ -271,17 +270,11 @@ def _fit_reps(study: SimStudy, reps) -> AuditLog:
     return AuditLog(
         [rep for rep, _, _ in fits],
         [_KINDS.index(kind.value) for _, kind, _ in fits],
-        [_STATUS_CODES[_status_text(res)] for _, _, res in fits],
+        [_STATUS_CODES[_status_text(r.status, r.status_reason)] for _, _, r in fits],
         [missing if res.params is None else res.params.as_array() for _, _, res in fits],
         [missing if res.std_errors is None else res.std_errors for _, _, res in fits],
         [res.iterations for _, _, res in fits],
     )
-
-
-def _status_text(res: FitResult) -> str:
-    if res.status_reason is StatusReason.NONE:
-        return res.status.value
-    return f"{res.status.value}:{res.status_reason.value}"
 
 
 def _aggregate(
